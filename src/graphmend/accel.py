@@ -1,131 +1,40 @@
-"""Inner-loop kernels, compiled with numba when available.
+"""Inner-loop kernels on scipy.sparse and numpy.
 
-Two loop-heavy routines live here: the sparse-matrix/dense-block product
-that dominates the propagation solver, and the masked nearest-neighbour
-scan used while packaging samples.  Each has a compiled build and a plain
-numpy build producing identical results.  The compiled path is taken when
-numba imports cleanly and the GRAPHMEND_DISABLE_NUMBA environment
-variable is unset or empty.
+Two routines live here: the sparse-matrix/dense-block product that
+dominates the propagation solver, and the masked nearest-neighbour
+selection used while packaging samples.
 """
 
-import os
-
 import numpy as np
-
-if os.environ.get("GRAPHMEND_DISABLE_NUMBA"):
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
-
-
-def csr_matvec_plain(indptr, indices, data, x, out=None, rows=None):
-    """Dense block product W @ x for a CSR matrix given by raw arrays.
-
-    x has shape (n, r).  rows may carry the precomputed COO row index of
-    every stored entry; passing it avoids rebuilding it on every call.
-    """
-    n = indptr.shape[0] - 1
-    if out is None:
-        out = np.empty((n, x.shape[1]))
-    if rows is None:
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-    scaled = data[:, None] * x[indices]
-    for c in range(x.shape[1]):
-        # bincount accumulates in storage order, same order as the
-        # compiled kernel, so both backends sum identically.
-        out[:, c] = np.bincount(rows, weights=scaled[:, c], minlength=n)
-    return out
-
-
-def nearest_remaining_plain(simrow, alive, take, out):
-    """Pop the `take` highest-similarity live indices, marking them dead.
-
-    Ties go to the lower index.  Requires finite similarities and at
-    least `take` live entries; both mutate-in-place semantics and the
-    tie rule match the compiled build exactly.
-    """
-    s = np.where(alive, simrow, -np.inf)
-    for t in range(take):
-        j = int(np.argmax(s))
-        out[t] = j
-        s[j] = -np.inf
-        alive[j] = False
-    return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _csr_matvec_numba(indptr, indices, data, x, out):
-        n, r = out.shape
-        for i in range(n):
-            for c in range(r):
-                out[i, c] = 0.0
-            for p in range(indptr[i], indptr[i + 1]):
-                j = indices[p]
-                v = data[p]
-                for c in range(r):
-                    out[i, c] += v * x[j, c]
-        return out
-
-    @njit(cache=True)
-    def _nearest_remaining_numba(simrow, alive, take, out):
-        n = simrow.shape[0]
-        for t in range(take):
-            best = -1
-            bestv = -np.inf
-            for j in range(n):
-                if alive[j] and simrow[j] > bestv:
-                    bestv = simrow[j]
-                    best = j
-            out[t] = best
-            alive[best] = False
-        return out
-
-
-def csr_matvec(indptr, indices, data, x, out=None):
-    """Backend-dispatching CSR block product."""
-    if out is None:
-        out = np.empty((indptr.shape[0] - 1, x.shape[1]))
-    if HAS_NUMBA:
-        return _csr_matvec_numba(indptr, indices, data, x, out)
-    return csr_matvec_plain(indptr, indices, data, x, out)
+import scipy.sparse
 
 
 def make_csr_matvec(indptr, indices, data):
-    """Bind a CSR matrix once and return f(x, out=None) -> W @ x.
+    """Bind a CSR matrix once and return f(x) -> W @ x for x of shape (n, r).
 
-    The numpy build precomputes the COO row index here so repeated calls
-    (the propagation solver makes hundreds) skip that setup.
+    scipy's kernel starts every output row at zero and adds data[p] * x[j]
+    in storage order, so the sums are fixed by the arrays given here.
     """
-    if HAS_NUMBA:
-
-        def bound(x, out=None):
-            if out is None:
-                out = np.empty((indptr.shape[0] - 1, x.shape[1]))
-            return _csr_matvec_numba(indptr, indices, data, x, out)
-
-        return bound
     n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    S = scipy.sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
-    def bound(x, out=None):
-        return csr_matvec_plain(indptr, indices, data, x, out, rows=rows)
+    def bound(x):
+        return S @ x
 
     return bound
 
 
 def nearest_remaining(simrow, alive, take, out=None):
-    """Backend-dispatching greedy nearest-neighbour pop."""
+    """Pick the `take` highest-similarity live indices, marking them dead.
+
+    Picks are written to `out` by descending similarity, ties to the lower
+    index.  Requires finite similarities and at least `take` live entries.
+    """
     if out is None:
         out = np.empty(take, dtype=np.int64)
-    if HAS_NUMBA:
-        return _nearest_remaining_numba(simrow, alive, take, out)
-    return nearest_remaining_plain(simrow, alive, take, out)
+    live = np.flatnonzero(alive)
+    # stable sort of the negated row: equal values (0.0 and -0.0 too) keep
+    # ascending index order
+    out[:] = live[np.argsort(-simrow[live], kind="stable")[:take]]
+    alive[out] = False
+    return out

@@ -303,36 +303,64 @@ def save_report(path, report):
 
 
 def load_report(path):
-    """Read a report written by save_report, restoring fields exactly."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "MLCR v1":
+    """Read a report written by save_report, restoring fields exactly.
+
+    Anything but a complete report (a non-ASCII byte, a missing final
+    newline, a missing or extra line, an unparsable field) raises
+    FormatError.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("ascii")
+    except UnicodeDecodeError as err:
+        raise FormatError("non-ASCII byte in report", offset=err.start)
+    if not text.endswith("\n"):
+        raise FormatError("report does not end with a newline", offset=len(blob))
+    lines = text[:-1].split("\n")
+    if lines[0] != "MLCR v1":
         raise FormatError("missing report header line")
     try:
-        epoch = int(lines[1].split()[1])
-        n = int(lines[2].split()[1])
-    except (IndexError, ValueError):
+        (epoch_key, epoch), (n_key, n) = (line.split() for line in lines[1:3])
+        epoch, n = int(epoch), int(n)
+    except ValueError:
         raise FormatError("malformed report header fields")
+    if epoch_key != "epoch" or n_key != "n_samples" or n < 0:
+        raise FormatError("malformed report header fields")
+    if len(lines) != n + 5:
+        raise FormatError("report for %d samples holds %d lines, expected %d"
+                          % (n, len(lines), n + 5))
     noisy = np.empty(n, dtype=np.int64)
     corrected = np.empty(n, dtype=np.int64)
     confidence = np.empty(n, dtype=np.float64)
     for i in range(n):
         parts = lines[4 + i].split()
-        if len(parts) != 5 or int(parts[0]) != i:
+        try:
+            # unpacking exactly four integers also pins the field count at 5
+            index, noisy[i], corrected[i], changed = map(int, parts[:3] + parts[4:])
+            confidence[i] = float(parts[3])
+        except (ValueError, OverflowError):
+            index = changed = None
+        if index != i or changed != int(noisy[i] != corrected[i]):
             raise FormatError("malformed record line %d" % (4 + i + 1))
-        noisy[i] = int(parts[1])
-        corrected[i] = int(parts[2])
-        confidence[i] = float(parts[3])
     summary_line = lines[4 + n]
     if not summary_line.startswith("summary "):
         raise FormatError("missing summary line")
-    summary = json.loads(summary_line[len("summary "):])
+    try:
+        summary = json.loads(summary_line[len("summary "):])
+    except ValueError:
+        summary = None
+    if not isinstance(summary, dict):
+        raise FormatError("malformed report summary")
+    accuracy = summary.get("correction_accuracy")
+    if not (accuracy is None or isinstance(accuracy, (int, float))):
+        raise FormatError("malformed report summary")
     return CorrectionReport(
         epoch,
         noisy,
         corrected,
         confidence,
-        correction_accuracy=summary.get("correction_accuracy"),
+        correction_accuracy=accuracy,
     )
 
 

@@ -93,12 +93,11 @@ def _cg(W, b, cfg):
     p = resid.copy()
     rs = np.einsum("ij,ij->j", resid, resid)
     goal = (cfg.cg_tolerance * np.linalg.norm(b, axis=0)) ** 2
-    tmp = np.empty_like(b)
     for _ in range(cfg.cg_max_iters):
         active = rs > goal
         if not active.any():
             break
-        q = p - alpha * matvec(p, tmp)
+        q = p - alpha * matvec(p)
         pq = np.einsum("ij,ij->j", p, q)
         usable = active & (pq > 0)
         step = np.where(usable, rs / np.where(pq > 0, pq, 1.0), 0.0)

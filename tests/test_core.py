@@ -204,6 +204,46 @@ def test_report_confidence_binary_exact(tmp_path):
     assert np.array_equal(loaded.confidence, conf)
 
 
+def test_report_truncated_at_every_offset_is_format_error(tmp_path):
+    path = tmp_path / "r.txt"
+    core.save_report(path, make_report(np.random.default_rng(5), 3))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.txt"
+    for size in range(len(blob)):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(core.FormatError):
+            core.load_report(cut)
+
+
+@pytest.mark.parametrize("old,new", [
+    (b"summary {", b"summary ["),
+    (b"n_samples 3", b"n_samples 4"),
+    (b"n_samples 3", b"n_samples -1"),
+    (b"epoch 2", b"epoch two"),
+    (b"\n1 ", b"\n7 "),
+    (b"\n0 ", b"\n\xff "),
+    (b"\nsummary", b"\n2 0 0 0.5 0\nsummary"),
+])
+def test_report_garbled_is_format_error(tmp_path, old, new):
+    path = tmp_path / "r.txt"
+    core.save_report(path, make_report(np.random.default_rng(5), 3))
+    blob = path.read_bytes()
+    assert old in blob
+    path.write_bytes(blob.replace(old, new, 1))
+    with pytest.raises(core.FormatError):
+        core.load_report(path)
+
+
+def test_report_garbled_changed_column_is_format_error(tmp_path):
+    labels = np.array([1, 2, 0], dtype=np.int64)
+    path = tmp_path / "r.txt"
+    core.save_report(path, core.CorrectionReport(1, labels, labels.copy(), np.ones(3)))
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"1.0 0\n", b"1.0 1\n", 1))
+    with pytest.raises(core.FormatError):
+        core.load_report(path)
+
+
 def test_model_vector_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     theta = rng.standard_normal(2 * 3 + 3 + 3 * 4 + 4)
