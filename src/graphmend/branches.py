@@ -28,7 +28,6 @@ class TrainConfig:
         momentum=0.9,
         lr_decay=0.1,
         lr_decay_every=5,
-        epochs=15,
         batch_size=64,
         l2_weight=5e-3,
         hidden_width=64,
@@ -40,7 +39,6 @@ class TrainConfig:
             momentum=momentum,
             lr_decay=lr_decay,
             lr_decay_every=lr_decay_every,
-            epochs=epochs,
             batch_size=batch_size,
             l2_weight=l2_weight,
             hidden_width=hidden_width,
@@ -56,7 +54,6 @@ class TrainConfig:
         self.momentum = float(momentum)
         self.lr_decay = float(lr_decay)
         self.lr_decay_every = int(lr_decay_every)
-        self.epochs = int(epochs)
         self.batch_size = int(batch_size)
         self.l2_weight = float(l2_weight)
         self.hidden_width = int(hidden_width)
@@ -326,6 +323,9 @@ def train_epoch(models, assignment, features, state, cfg, rng, epoch=1):
                 _check_loss(warm_loss, "warm-up", step)
                 grad = grad + warm / b.shape[0]
             sgd_step(models.ensemble[m], grad, lr, cfg.momentum, cfg.l2_weight)
+    for model in (models.corrected, models.noisy, *models.ensemble):
+        if not np.isfinite(model.theta).all():
+            raise TrainingError("non-finite parameters after training")
     return models
 
 

@@ -12,14 +12,6 @@ from .core import LabelState, ValidationError
 from .propagate import NO_SUGGESTION
 
 
-class VoteOutcome:
-    def __init__(self, winner, vote_counts, omega_hat, tie_broken):
-        self.winner = int(winner)
-        self.vote_counts = np.asarray(vote_counts, dtype=np.int64)
-        self.omega_hat = float(omega_hat)
-        self.tie_broken = bool(tie_broken)
-
-
 def decide_all(suggestions):
     """Vectorized vote over every sample.
 
@@ -51,19 +43,6 @@ def decide_all(suggestions):
     return winners, counts, omega_hat, tie_broken
 
 
-def majority_decision(suggestions, n):
-    """Vote outcome for one sample; see decide_all for the tie rules."""
-    winners, counts, omega_hat, tie_broken = decide_all(suggestions)
-    return VoteOutcome(winners[n], counts[n], omega_hat[n], tie_broken[n])
-
-
-def average_confidence(suggestions, winner, n, M):
-    """Mean certainty of suggestions agreeing with the winner, over 2*M*M."""
-    lab = suggestions.labels[:, :, n, :].ravel()
-    wgt = suggestions.weights[:, :, n, :].ravel()
-    return float(np.where(lab == winner, wgt, 0.0).sum() / (2.0 * M * M))
-
-
 def normalize_confidence(omega_hat):
     """Min-max normalize over the dataset; a flat vector maps to all 1."""
     omega_hat = np.asarray(omega_hat, dtype=np.float64)
@@ -76,21 +55,17 @@ def normalize_confidence(omega_hat):
     return (omega_hat - lo) / (hi - lo)
 
 
-def apply_correction(state, outcomes, omega_bar):
-    """New LabelState with voted labels and normalized confidence.
+def apply_correction(state, winners, omega_bar):
+    """New LabelState with the voted labels and normalized confidence.
 
-    Samples whose every suggestion was a sentinel keep their noisy label
-    and get confidence 0 regardless of the normalization.
+    Silent samples (winner NO_SUGGESTION) keep their noisy label and get
+    confidence 0 regardless of the normalization.
     """
+    winners = np.asarray(winners, dtype=np.int64)
     omega_bar = np.asarray(omega_bar, dtype=np.float64)
-    if len(outcomes) != state.n_samples or omega_bar.shape[0] != state.n_samples:
-        raise ValidationError("outcomes must cover every sample exactly once")
-    corrected = np.empty(state.n_samples, dtype=np.int64)
-    confidence = omega_bar.copy()
-    for i, outcome in enumerate(outcomes):
-        if outcome.winner == NO_SUGGESTION:
-            corrected[i] = state.noisy[i]
-            confidence[i] = 0.0
-        else:
-            corrected[i] = outcome.winner
+    if winners.shape != (state.n_samples,) or omega_bar.shape != (state.n_samples,):
+        raise ValidationError("need one winner and one confidence per sample")
+    silent = winners == NO_SUGGESTION
+    corrected = np.where(silent, state.noisy, winners)
+    confidence = np.where(silent, 0.0, omega_bar)
     return LabelState(state.noisy, corrected, confidence, state.n_classes)

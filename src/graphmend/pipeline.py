@@ -12,7 +12,9 @@ trains all branches from one shared random initialization.
 """
 
 import argparse
+import copy
 import json
+import math
 import os
 import sys
 
@@ -32,6 +34,7 @@ from .core import (
     FeatureMatrix,
     GraphmendError,
     LabelState,
+    TrainingError,
     ValidationError,
     check_pairing,
     ensure_dir,
@@ -41,7 +44,7 @@ from .core import (
     save_labels,
     save_report,
 )
-from .correct import VoteOutcome, apply_correction, decide_all, normalize_confidence
+from .correct import apply_correction, decide_all, normalize_confidence
 from .graph import GraphConfig, build_adjacency, normalize_graph
 from .propagate import (
     PropagationConfig,
@@ -99,40 +102,76 @@ class PipelineConfig:
         self.sweep_b = list(sweep_b) if sweep_b else []
 
 
+# Every config-file key: (section of PipelineConfig holding it, or None
+# for PipelineConfig itself; value kind).  Each key equals the keyword of
+# its section's constructor, which alone holds the default.  The order is
+# the order of run_config.txt and of the README table.
+CONFIG_KEYS = {
+    "n_branches": ("split", int),
+    "packages_per_class_per_branch": ("split", int),
+    "rng_seed": ("split", int),
+    "k_graph": ("graph", int),
+    "gamma": ("graph", float),
+    "alpha_prop": ("prop", float),
+    "cg_tolerance": ("prop", float),
+    "cg_max_iters": ("prop", int),
+    "learning_rate": ("train", float),
+    "momentum": ("train", float),
+    "lr_decay": ("train", float),
+    "lr_decay_every": ("train", int),
+    "batch_size": ("train", int),
+    "l2_weight": ("train", float),
+    "hidden_width": ("train", int),
+    "alpha_smooth": ("train", float),
+    "pair_sample_count": ("train", int),
+    "outer_epochs": (None, int),
+    "resplit_each_epoch": (None, bool),
+    "seed": (None, int),
+    "n_classes": (None, int),
+    "oracle_iters": (None, int),
+    "sweep_m": (None, list),
+    "sweep_b": (None, list),
+}
+
+SECTIONS = {
+    "split": SplitConfig,
+    "graph": GraphConfig,
+    "prop": PropagationConfig,
+    "train": TrainConfig,
+}
+
+
 def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
 def _write_run_config(path, cfg, n_classes):
     """Echo every resolved setting; the file reads back as a config file."""
-    values = [
-        ("n_branches", cfg.split.n_branches),
-        ("packages_per_class_per_branch", cfg.split.packages_per_class_per_branch),
-        ("rng_seed", cfg.split.rng_seed),
-        ("k_graph", cfg.graph.k_graph),
-        ("gamma", cfg.graph.gamma),
-        ("alpha_prop", cfg.prop.alpha_prop),
-        ("cg_tolerance", cfg.prop.cg_tolerance),
-        ("cg_max_iters", cfg.prop.cg_max_iters),
-        ("learning_rate", cfg.train.learning_rate),
-        ("momentum", cfg.train.momentum),
-        ("lr_decay", cfg.train.lr_decay),
-        ("lr_decay_every", cfg.train.lr_decay_every),
-        ("epochs", cfg.train.epochs),
-        ("batch_size", cfg.train.batch_size),
-        ("l2_weight", cfg.train.l2_weight),
-        ("hidden_width", cfg.train.hidden_width),
-        ("alpha_smooth", cfg.train.alpha_smooth),
-        ("pair_sample_count", cfg.train.pair_sample_count),
-        ("outer_epochs", cfg.outer_epochs),
-        ("resplit_each_epoch", "true" if cfg.resplit_each_epoch else "false"),
-        ("seed", cfg.seed),
-        ("n_classes", n_classes),
-        ("oracle_iters", cfg.oracle_iters),
-    ]
     with open(path, "w") as fh:
-        for key, value in values:
+        for key, (section, kind) in CONFIG_KEYS.items():
+            if kind is list:
+                continue
+            if key == "n_classes":
+                value = n_classes
+            else:
+                value = getattr(cfg if section is None else getattr(cfg, section), key)
+            if kind is bool:
+                value = "true" if value else "false"
             fh.write("%s = %s\n" % (key, value))
+
+
+def _embed(model, features):
+    """The model's hidden-layer features as a FeatureMatrix.
+
+    Training that diverged far enough to overflow float32 here is a
+    TrainingError, not a malformed input.
+    """
+    hidden, _ = forward(model, features.data)
+    with np.errstate(over="ignore"):
+        hidden = hidden.astype(np.float32)
+    if not np.isfinite(hidden).all():
+        raise TrainingError("training diverged: non-finite embedding")
+    return FeatureMatrix(hidden)
 
 
 def evaluate(noisy, corrected, clean):
@@ -243,10 +282,8 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
 
         graphs = []
         for m in range(M):
-            hidden, _ = forward(models.ensemble[m], features.data)
-            graphs.append(
-                normalize_graph(build_adjacency(FeatureMatrix(hidden), cfg.graph))
-            )
+            hidden = _embed(models.ensemble[m], features)
+            graphs.append(normalize_graph(build_adjacency(hidden, cfg.graph)))
         planes = [build_partial_labels(assignment, j, state) for j in range(M)]
         sug_labels = np.empty((M, M, n, 2), dtype=np.int64)
         sug_weights = np.empty((M, M, n, 2))
@@ -262,13 +299,8 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
                 sug_weights[m, j] = certainty_weights(Z)
         suggestions = SuggestionTensor(sug_labels, sug_weights, C)
 
-        winners, counts, omega_hat, ties = decide_all(suggestions)
-        omega_bar = normalize_confidence(omega_hat)
-        outcomes = [
-            VoteOutcome(winners[i], counts[i], omega_hat[i], ties[i])
-            for i in range(n)
-        ]
-        state = apply_correction(state, outcomes, omega_bar)
+        winners, _, omega_hat, _ = decide_all(suggestions)
+        state = apply_correction(state, winners, normalize_confidence(omega_hat))
 
         accuracy = None
         if clean is not None:
@@ -287,8 +319,7 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
             save_model(os.path.join(edir, "corrected_model.bin"), models.corrected)
             save_model(os.path.join(edir, "noisy_model.bin"), models.noisy)
 
-        hidden, _ = forward(models.noisy, features.data)
-        split_features = FeatureMatrix(hidden)
+        split_features = _embed(models.noisy, features)
         changed = int((state.corrected != prev_corrected).sum())
         prev_corrected = state.corrected.copy()
         if cfg.early_stop and changed == 0:
@@ -307,19 +338,8 @@ def run_sweep(cfg, features=None, labels=None, clean=None, output_dir=None):
     rows = []
     for M in sorted(cfg.sweep_m):
         for B in sorted(cfg.sweep_b):
-            sub = PipelineConfig(
-                split=SplitConfig(M, B, cfg.split.rng_seed),
-                graph=cfg.graph,
-                prop=cfg.prop,
-                train=cfg.train,
-                outer_epochs=cfg.outer_epochs,
-                resplit_each_epoch=cfg.resplit_each_epoch,
-                seed=cfg.seed,
-                n_classes=cfg.n_classes,
-                use_oracle=cfg.use_oracle,
-                oracle_iters=cfg.oracle_iters,
-                early_stop=cfg.early_stop,
-            )
+            sub = copy.copy(cfg)
+            sub.split = SplitConfig(M, B, cfg.split.rng_seed)
             subdir = None
             if output_dir is not None:
                 subdir = os.path.join(output_dir, "sweep_M%d_B%d" % (M, B))
@@ -358,40 +378,35 @@ def run_sweep(cfg, features=None, labels=None, clean=None, output_dir=None):
 
 # ---------------------------------------------------------------- CLI
 
-CONFIG_KEYS = {
-    "n_branches": int,
-    "packages_per_class_per_branch": int,
-    "rng_seed": int,
-    "k_graph": int,
-    "gamma": float,
-    "alpha_prop": float,
-    "cg_tolerance": float,
-    "cg_max_iters": int,
-    "learning_rate": float,
-    "momentum": float,
-    "lr_decay": float,
-    "lr_decay_every": int,
-    "epochs": int,
-    "batch_size": int,
-    "l2_weight": float,
-    "hidden_width": int,
-    "alpha_smooth": float,
-    "pair_sample_count": int,
-    "outer_epochs": int,
-    "resplit_each_epoch": bool,
-    "seed": int,
-    "n_classes": int,
-    "oracle_iters": int,
-    "sweep_m": list,
-    "sweep_b": list,
-}
+def _parse_finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _parse_bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(text)
+    return text.lower() == "true"
+
+
+def _parse_list(text):
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+PARSERS = {int: int, float: _parse_finite, bool: _parse_bool, list: _parse_list}
 
 
 def parse_config_file(path):
     """Read `key = value` lines; # starts a comment."""
     values = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValidationError("config file is not valid UTF-8", row=lineno)
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -402,16 +417,8 @@ def parse_config_file(path):
             text = text.strip()
             if key not in CONFIG_KEYS:
                 raise ValidationError("unknown config key %r" % key, row=lineno)
-            kind = CONFIG_KEYS[key]
             try:
-                if kind is bool:
-                    if text.lower() not in ("true", "false"):
-                        raise ValueError(text)
-                    values[key] = text.lower() == "true"
-                elif kind is list:
-                    values[key] = [int(v) for v in text.split(",") if v.strip()]
-                else:
-                    values[key] = kind(text)
+                values[key] = PARSERS[CONFIG_KEYS[key][1]](text)
             except ValueError:
                 raise ValidationError(
                     "bad value %r for config key %r" % (text, key), row=lineno
@@ -420,44 +427,19 @@ def parse_config_file(path):
 
 
 def build_config(values):
-    """Assemble a PipelineConfig from a flat key -> value mapping."""
-    seed = values.get("seed", 0)
-    split = SplitConfig(
-        values.get("n_branches", 5),
-        values.get("packages_per_class_per_branch", 4),
-        values.get("rng_seed", seed),
-    )
-    graph = GraphConfig(values.get("k_graph", 50), values.get("gamma", 3.0))
-    prop = PropagationConfig(
-        values.get("alpha_prop", 0.99),
-        values.get("cg_tolerance", 1e-6),
-        values.get("cg_max_iters", 200),
-    )
-    train = TrainConfig(
-        learning_rate=values.get("learning_rate", 0.01),
-        momentum=values.get("momentum", 0.9),
-        lr_decay=values.get("lr_decay", 0.1),
-        lr_decay_every=values.get("lr_decay_every", 5),
-        epochs=values.get("epochs", 15),
-        batch_size=values.get("batch_size", 64),
-        l2_weight=values.get("l2_weight", 5e-3),
-        hidden_width=values.get("hidden_width", 64),
-        alpha_smooth=values.get("alpha_smooth", 1.0),
-        pair_sample_count=values.get("pair_sample_count", 256),
-    )
-    return PipelineConfig(
-        split=split,
-        graph=graph,
-        prop=prop,
-        train=train,
-        outer_epochs=values.get("outer_epochs", 15),
-        resplit_each_epoch=values.get("resplit_each_epoch", True),
-        seed=seed,
-        n_classes=values.get("n_classes"),
-        oracle_iters=values.get("oracle_iters", 1000),
-        sweep_m=values.get("sweep_m"),
-        sweep_b=values.get("sweep_b"),
-    )
+    """Assemble a PipelineConfig from a flat key -> value mapping.
+
+    Missing keys take the config constructors' defaults, except rng_seed,
+    which falls back to seed.
+    """
+    kwargs = {section: {} for section in (None, *SECTIONS)}
+    for key, value in values.items():
+        if key not in CONFIG_KEYS:
+            raise ValidationError("unknown config key %r" % key)
+        kwargs[CONFIG_KEYS[key][0]][key] = value
+    kwargs["split"].setdefault("rng_seed", values.get("seed", 0))
+    sections = {name: cls(**kwargs[name]) for name, cls in SECTIONS.items()}
+    return PipelineConfig(**sections, **kwargs[None])
 
 
 def _load_inputs(args):
@@ -473,7 +455,6 @@ def _config_from_args(args):
         values = parse_config_file(args.config)
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
-        values.setdefault("rng_seed", args.seed)
     cfg = build_config(values)
     if getattr(args, "oracle", False):
         cfg.use_oracle = True

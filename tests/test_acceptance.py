@@ -27,7 +27,7 @@ from graphmend.branches import (
     loss_pseudo,
 )
 from graphmend.core import FeatureMatrix
-from graphmend.correct import majority_decision
+from graphmend.correct import decide_all
 from graphmend.graph import GraphConfig, SparseGraph, build_adjacency, normalize_graph
 from graphmend.pipeline import PipelineConfig, run_correction
 from graphmend.propagate import (
@@ -252,17 +252,18 @@ def test_a06_vote_oracle_agreement_on_ten_thousand_samples():
         weights[0, 0, 3, 0] = weights[0, 0, 3, 1] = 0.5
         labels[0, 0, 4, 0], labels[0, 0, 4, 1] = 1, 0
         weights[0, 0, 4, 0], weights[0, 0, 4, 1] = 0.75, 0.25
-        suggestions = SuggestionTensor(labels, weights, C)
+        winners, vote_counts, omega_hats, ties = decide_all(
+            SuggestionTensor(labels, weights, C)
+        )
         for i in range(n):
-            out = majority_decision(suggestions, i)
             lab = labels[:, :, i, :].ravel()
             wgt = weights[:, :, i, :].ravel()
             winner, counts, omega_hat, tie = _vote_oracle(lab, wgt, C, M)
             same = (
-                out.winner == winner
-                and np.array_equal(out.vote_counts, counts)
-                and out.omega_hat == omega_hat
-                and out.tie_broken == tie
+                winners[i] == winner
+                and np.array_equal(vote_counts[i], counts)
+                and omega_hats[i] == omega_hat
+                and ties[i] == tie
             )
             checked += 1
             disagreements += not same
@@ -380,7 +381,7 @@ def test_a09_resplitting_does_not_hurt_mean_residual():
 
 def _cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "graphmend.pipeline"] + args,
+        [sys.executable, "-m", "graphmend"] + args,
         capture_output=True,
         text=True,
     )

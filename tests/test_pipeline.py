@@ -19,7 +19,10 @@ from graphmend.core import (
 )
 from graphmend.graph import GraphConfig
 from graphmend.pipeline import (
+    CONFIG_KEYS,
+    PARSERS,
     PipelineConfig,
+    _write_run_config,
     build_config,
     evaluate,
     parse_config_file,
@@ -177,6 +180,10 @@ def test_run_config_echo(tmp_path):
     assert echoed["seed"] == 9
     assert echoed["n_classes"] == 3
     assert echoed["resplit_each_epoch"] is True
+    # the echo is a complete config: rebuilt and echoed again, it is unchanged
+    again = tmp_path / "again.txt"
+    _write_run_config(str(again), build_config(echoed), echoed["n_classes"])
+    assert again.read_bytes() == (tmp_path / "run_config.txt").read_bytes()
 
 
 def test_run_requires_small_k_graph():
@@ -208,6 +215,16 @@ def test_sweep_rows_sorted_and_written(tmp_path):
     assert len(lines) == 3
     assert (tmp_path / "sweep_M1_B1" / "final" / "labels.csv").exists()
     assert (tmp_path / "sweep_M2_B1" / "final" / "labels.csv").exists()
+
+
+def test_sweep_keeps_dump_suggestions(tmp_path):
+    feats, noisy, clean = noisy_blobs(seed=11, per_class=30)
+    cfg = small_cfg(seed=11, M=2, B=1, outer_epochs=1, dump_suggestions=True)
+    cfg.sweep_m = [1, 2]
+    cfg.sweep_b = [1]
+    run_sweep(cfg, features=feats, labels=noisy, clean=clean, output_dir=str(tmp_path))
+    for cell in ("sweep_M1_B1", "sweep_M2_B1"):
+        assert (tmp_path / cell / "epoch_1" / "suggestions.txt").exists(), cell
 
 
 def test_sweep_requires_grid():
@@ -267,7 +284,6 @@ def test_build_config_defaults():
     assert cfg.train.learning_rate == 0.01
     assert cfg.train.momentum == 0.9
     assert cfg.train.lr_decay == 0.1
-    assert cfg.train.epochs == 15
     assert cfg.train.batch_size == 64
     assert cfg.train.l2_weight == 5e-3
     assert cfg.train.hidden_width == 64
@@ -275,6 +291,51 @@ def test_build_config_defaults():
     assert cfg.train.pair_sample_count == 256
     assert cfg.outer_epochs == 15
     assert cfg.resplit_each_epoch is True
+
+
+def test_build_config_rejects_unknown_key():
+    with pytest.raises(ValidationError, match="wibble"):
+        build_config({"wibble": 15})
+
+
+# README defaults that are not literals of the key's own kind
+DERIVED_DEFAULTS = {
+    "rng_seed": "seed",
+    "n_classes": "inferred",
+    "sweep_m": "none",
+    "sweep_b": "none",
+}
+
+
+def readme_config_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default, _ = [cell.strip() for cell in line.strip("|").split("|")]
+        rows.append((key, default))
+    return rows
+
+
+def test_readme_config_table_matches_code():
+    rows = readme_config_table()
+    assert [key for key, _ in rows] == list(CONFIG_KEYS)
+    cfg = build_config({})
+    for key, default in rows:
+        if key in DERIVED_DEFAULTS:
+            assert default == DERIVED_DEFAULTS[key], key
+            continue
+        section, kind = CONFIG_KEYS[key]
+        want = getattr(cfg if section is None else getattr(cfg, section), key)
+        got = PARSERS[kind](default)
+        assert got == want and type(got) is type(want), key
+    assert cfg.split.rng_seed == cfg.seed
+    assert cfg.n_classes is None
+    assert cfg.sweep_m == [] and cfg.sweep_b == []
 
 
 def test_build_config_seed_flows_to_split():
@@ -288,7 +349,7 @@ def test_build_config_seed_flows_to_split():
 
 def run_cli(args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-m", "graphmend.pipeline"] + args,
+        [sys.executable, "-m", "graphmend"] + args,
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -355,6 +416,7 @@ def test_cli_correct_and_eval(cli_dataset):
         ]
     )
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     line = json.loads(proc.stdout.strip().splitlines()[-1])
     assert line["epochs_run"] == 2
     assert "correction_accuracy" in line
@@ -489,6 +551,49 @@ def test_cli_invalid_labels_exit_code(tmp_path):
         ]
     )
     assert proc.returncode == 11
+
+
+def test_cli_diverging_run_exit_code(cli_dataset, tmp_path):
+    root, feats, labels, _ = cli_dataset
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(CLI_CONFIG + "learning_rate = 1e10\n")
+    proc = run_cli(
+        [
+            "correct",
+            "--features", str(feats),
+            "--labels", str(labels),
+            "--out", str(tmp_path / "out"),
+            "--config", str(cfg),
+        ]
+    )
+    assert proc.returncode == 13, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "content, row",
+    [
+        (b"cg_tolerance = nan\n", 1),
+        (b"cg_tolerance = inf\n", 1),
+        (b"gamma = nan\n", 1),
+        (b"k_graph = 6\n# caf\xe9\n", 2),
+    ],
+    ids=["cg_tolerance-nan", "cg_tolerance-inf", "gamma-nan", "not-utf8"],
+)
+def test_cli_bad_config_exit_code(cli_dataset, tmp_path, content, row):
+    root, feats, labels, _ = cli_dataset
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(content)
+    proc = run_cli(
+        [
+            "correct",
+            "--features", str(feats),
+            "--labels", str(labels),
+            "--out", str(tmp_path / "out"),
+            "--config", str(cfg),
+        ]
+    )
+    assert proc.returncode == 11, proc.stderr
+    assert "(row %d)" % row in proc.stderr
 
 
 def test_cli_usage_error_exit_code():
