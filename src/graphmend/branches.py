@@ -15,6 +15,7 @@ from .core import (
     TrainingError,
     ValidationError,
     load_model_vector,
+    require_finite,
     save_model_vector,
 )
 
@@ -44,6 +45,13 @@ class TrainConfig:
             hidden_width=hidden_width,
             alpha_smooth=alpha_smooth,
             pair_sample_count=pair_sample_count,
+        )
+        require_finite(
+            learning_rate=learning_rate,
+            momentum=momentum,
+            lr_decay=lr_decay,
+            l2_weight=l2_weight,
+            alpha_smooth=alpha_smooth,
         )
         for name, v in values.items():
             if v <= 0 and name != "l2_weight" and name != "momentum":

@@ -10,6 +10,7 @@ with repr so parsing restores the exact binary value.
 """
 
 import json
+import math
 import os
 
 import numpy as np
@@ -59,6 +60,15 @@ class ValidationError(GraphmendError):
             message = "%s (row %d)" % (message, row)
         super().__init__(message)
         self.row = row
+
+
+def require_finite(**values):
+    """Raise ValidationError naming the first keyword whose value is nan
+    or infinite; range checks on such values would pass or fail by
+    accident of the comparison."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValidationError("%s must be finite" % name)
 
 
 class SolverError(GraphmendError):

@@ -1,6 +1,12 @@
 """Phase 2 graph construction: directional k-NN adjacency, then
 symmetric normalization.
 
+Neighbour search is exact: each node keeps the k most cosine-similar
+other nodes, ordered by descending similarity, with equal similarities
+(0.0 and -0.0 included) going to the lower index.  Selection costs one
+argpartition per block of rows; only rows whose k-th value also occurs
+outside the selection take a full stable sort to settle the tie.
+
 Edge weights are clamp(cosine, 0, 1) ** gamma so fractional gamma stays
 real even when raw cosine goes negative.  Normalization computes
 S = A + A^T, D = diag(row sums of S), W = D^-1/2 S D^-1/2; the per-entry
@@ -10,11 +16,12 @@ bit, and isolated nodes keep all-zero rows.
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, require_finite
 
 
 class GraphConfig:
     def __init__(self, k_graph=50, gamma=3.0):
+        require_finite(gamma=gamma)
         if k_graph < 1:
             raise ValidationError("k_graph must be >= 1")
         if gamma < 1.0:
@@ -39,9 +46,8 @@ class SparseGraph:
 
     def toarray(self):
         out = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            sl = slice(self.indptr[i], self.indptr[i + 1])
-            out[i, self.indices[sl]] = self.data[sl]
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        out[rows, self.indices] = self.data
         return out
 
 
@@ -58,23 +64,28 @@ def _topk_rows(sims, k):
     """Per-row indices of the k largest entries, ties to the lower index.
 
     Returns (indices, values) with columns ordered by descending value
-    and ascending index within equal values.
+    and ascending index within equal values; 0.0 and -0.0 count as equal.
+    One argpartition picks k largest entries per row.  When nothing
+    outside that pick equals the row's k-th value, the pick is the only
+    valid set and sorting it finishes the row.  Rows where the k-th value
+    is tied across the cut are redone with one stable sort of the whole
+    row, which hands the tied slots to the lowest indices.
     """
-    b, n = sims.shape
-    # threshold = k-th largest per row; everything above it is in, and
-    # the gap up to k is filled with the lowest-index entries equal to it
-    thresh = -np.partition(-sims, k - 1, axis=1)[:, k - 1]
-    above = sims > thresh[:, None]
-    need = k - above.sum(axis=1)
-    at = sims == thresh[:, None]
-    take_eq = at & (np.cumsum(at, axis=1) <= need[:, None])
-    mask = above | take_eq
-    idx = np.nonzero(mask)[1].reshape(b, k)
+    n = sims.shape[1]
+    idx = np.sort(np.argpartition(sims, n - k, axis=1)[:, n - k:], axis=1)
     vals = np.take_along_axis(sims, idx, axis=1)
-    # nonzero already yields ascending index per row; a stable sort on
-    # descending value preserves that order inside ties
+    # a stable sort on descending value keeps ascending index inside ties
     order = np.argsort(-vals, axis=1, kind="stable")
-    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(vals, order, axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    kth = vals[:, -1:]
+    tied = np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k)
+    if tied.size:
+        rows = sims[tied]
+        fix = np.argsort(-rows, axis=1, kind="stable")[:, :k]
+        idx[tied] = fix
+        vals[tied] = np.take_along_axis(rows, fix, axis=1)
+    return idx, vals
 
 
 def knn_neighbors(features, k_graph, block=512):

@@ -391,11 +391,37 @@ def _parse_bool(text):
     return text.lower() == "true"
 
 
+def _parse_int_item(item):
+    try:
+        return int(item)
+    except ValueError:
+        raise ValueError("bad item %r" % item.strip())
+
+
 def _parse_list(text):
-    return [int(v) for v in text.split(",") if v.strip()]
+    return [_parse_int_item(v) for v in text.split(",") if v.strip()]
+
+
+def _parse_mapping(text):
+    """`src:dst` pairs separated by commas, as a {src: dst} dict."""
+    mapping = {}
+    for part in text.split(","):
+        src, sep, dst = part.partition(":")
+        if not sep:
+            raise ValueError("bad item %r, expected src:dst" % part.strip())
+        mapping[_parse_int_item(src)] = _parse_int_item(dst)
+    return mapping
 
 
 PARSERS = {int: int, float: _parse_finite, bool: _parse_bool, list: _parse_list}
+
+
+def _parse_option(flag, text, parse):
+    """Parse a command-line value; a malformed one raises ValidationError."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ValidationError("%s %r: %s" % (flag, text, err))
 
 
 def parse_config_file(path):
@@ -479,10 +505,7 @@ def _cmd_synth(args):
     )
     mapping = None
     if args.mapping:
-        mapping = {}
-        for part in args.mapping.split(","):
-            src, _, dst = part.partition(":")
-            mapping[int(src)] = int(dst)
+        mapping = _parse_option("--mapping", args.mapping, _parse_mapping)
     features, noisy, clean = make_noisy_dataset(cfg, mapping=mapping)
     save_features(args.out_features, features)
     save_labels(args.out_labels, noisy, clean)
@@ -539,9 +562,9 @@ def _cmd_sweep(args):
     features, noisy, clean = _load_inputs(args)
     cfg = _config_from_args(args)
     if args.sweep_m:
-        cfg.sweep_m = [int(v) for v in args.sweep_m.split(",")]
+        cfg.sweep_m = _parse_option("--sweep-m", args.sweep_m, _parse_list)
     if args.sweep_b:
-        cfg.sweep_b = [int(v) for v in args.sweep_b.split(",")]
+        cfg.sweep_b = _parse_option("--sweep-b", args.sweep_b, _parse_list)
     rows = run_sweep(
         cfg, features=features, labels=noisy, clean=clean, output_dir=args.out
     )

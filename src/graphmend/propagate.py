@@ -13,13 +13,14 @@ import numpy as np
 import scipy.sparse
 
 from . import accel
-from .core import SolverError, ValidationError
+from .core import SolverError, ValidationError, require_finite
 
 NO_SUGGESTION = -1
 
 
 class PropagationConfig:
     def __init__(self, alpha_prop=0.99, cg_tolerance=1e-6, cg_max_iters=200):
+        require_finite(alpha_prop=alpha_prop, cg_tolerance=cg_tolerance)
         if not 0.0 < alpha_prop < 1.0:
             raise ValidationError("alpha_prop must lie in (0, 1)")
         if cg_tolerance <= 0 or cg_max_iters < 1:

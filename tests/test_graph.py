@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from graphmend import graph
+from graphmend.branches import TrainConfig
 from graphmend.core import FeatureMatrix, ValidationError
 from graphmend.graph import (
     GraphConfig,
@@ -11,6 +13,139 @@ from graphmend.graph import (
     knn_neighbors,
     normalize_graph,
 )
+from graphmend.pipeline import PipelineConfig, run_correction
+from graphmend.propagate import PropagationConfig
+from graphmend.splitter import SplitConfig
+from graphmend.synth import SynthConfig, make_noisy_dataset
+
+
+def topk_rows_reference(sims, k):
+    """The threshold/cumsum top-k kernel that graph._topk_rows replaced,
+    kept as the bit-exact reference for it."""
+    b, n = sims.shape
+    thresh = -np.partition(-sims, k - 1, axis=1)[:, k - 1]
+    above = sims > thresh[:, None]
+    need = k - above.sum(axis=1)
+    at = sims == thresh[:, None]
+    take_eq = at & (np.cumsum(at, axis=1) <= need[:, None])
+    mask = above | take_eq
+    idx = np.nonzero(mask)[1].reshape(b, k)
+    vals = np.take_along_axis(sims, idx, axis=1)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(vals, order, axis=1)
+
+
+def assert_topk_equal(sims, k):
+    got_idx, got_vals = graph._topk_rows(sims.copy(), k)
+    want_idx, want_vals = topk_rows_reference(sims.copy(), k)
+    assert np.array_equal(got_idx, want_idx)
+    assert np.array_equal(got_vals, want_vals)
+    assert np.array_equal(np.signbit(got_vals), np.signbit(want_vals))
+
+
+def random_rows(rng, b, n):
+    return rng.standard_normal((b, n))
+
+
+def decimal_rows(rng, b, n):
+    return np.round(rng.standard_normal((b, n)), 1)
+
+
+def signed_zero_rows(rng, b, n):
+    sims = rng.integers(-2, 3, (b, n)).astype(np.float64)
+    zero = sims == 0
+    sims[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return sims
+
+
+def equal_rows(rng, b, n):
+    return np.full((b, n), rng.standard_normal())
+
+
+@pytest.mark.parametrize(
+    "make", [random_rows, decimal_rows, signed_zero_rows, equal_rows]
+)
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_topk_equals_reference(make, diagonal):
+    rng = np.random.default_rng(1)
+    for _ in range(60):
+        n = int(rng.integers(2, 50))
+        b = int(rng.integers(1, n + 1))
+        sims = make(rng, b, n)
+        if diagonal:
+            # what knn_neighbors does to each block: self never qualifies
+            sims[np.arange(b), np.arange(b)] = -np.inf
+        for k in {1, int(rng.integers(1, n)), n - 1}:
+            assert_topk_equal(sims, k)
+
+
+def test_topk_kth_value_tied_across_cut():
+    # k = 3 takes 0.9 and two of the four 0.5 entries, which sit on both
+    # sides of the cut, so the tie goes to the lowest indices 0 and 1
+    sims = np.array([[0.5, 0.5, 0.9, 0.5, 0.1, 0.5, -np.inf]])
+    idx, vals = graph._topk_rows(sims.copy(), 3)
+    assert idx.tolist() == [[2, 0, 1]]
+    assert vals.tolist() == [[0.9, 0.5, 0.5]]
+    assert_topk_equal(sims, 3)
+    assert_topk_equal(np.vstack([sims, sims[:, ::-1], -sims]), 4)
+
+
+def test_topk_signed_zero_tie_keeps_each_sign():
+    sims = np.array([[-0.0, 0.0, -1.0, -0.0, 0.0]])
+    idx, vals = graph._topk_rows(sims.copy(), 3)
+    assert idx.tolist() == [[0, 1, 3]]
+    assert np.signbit(vals).tolist() == [[True, False, True]]
+    assert_topk_equal(sims, 3)
+
+
+def duplicated_features(rng):
+    base = np.round(rng.standard_normal((25, 4)), 0)
+    base[base.sum(axis=1) == 0, 0] = 1.0
+    # every row appears three times, and rows are quantized to integers,
+    # so many similarities tie exactly
+    return FeatureMatrix(np.repeat(base, 3, axis=0)[rng.permutation(75)])
+
+
+@pytest.mark.parametrize("block", [7, 512])
+def test_knn_graph_equals_reference_kernel_on_ties(monkeypatch, block):
+    feats = duplicated_features(np.random.default_rng(8))
+    cfg = GraphConfig(k_graph=5, gamma=3.0)
+
+    def build():
+        nb, sims = knn_neighbors(feats, cfg.k_graph, block=block)
+        A = build_adjacency(feats, cfg)
+        return nb, sims, A, normalize_graph(A)
+
+    got = build()
+    monkeypatch.setattr(graph, "_topk_rows", topk_rows_reference)
+    want = build()
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+    for g, w in zip(got[2:], want[2:]):
+        assert np.array_equal(g.indptr, w.indptr)
+        assert np.array_equal(g.indices, w.indices)
+        assert np.array_equal(g.data, w.data)
+
+
+def test_correction_run_equals_reference_topk_run(monkeypatch):
+    feats, noisy, clean = make_noisy_dataset(SynthConfig(
+        n_classes=3, per_class=60, dim=8, noise_rate=0.3, rng_seed=4))
+
+    def run():
+        cfg = PipelineConfig(
+            split=SplitConfig(3, 2, 0),
+            graph=GraphConfig(k_graph=8, gamma=3.0),
+            prop=PropagationConfig(alpha_prop=0.95),
+            train=TrainConfig(hidden_width=16, batch_size=32, pair_sample_count=64),
+            outer_epochs=2,
+            seed=0,
+        )
+        return run_correction(cfg, features=feats, labels=noisy, clean=clean)
+
+    real = run()
+    monkeypatch.setattr(graph, "_topk_rows", topk_rows_reference)
+    assert run() == real
 
 
 def brute_force_knn(X, k):

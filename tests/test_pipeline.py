@@ -21,6 +21,7 @@ from graphmend.graph import GraphConfig
 from graphmend.pipeline import (
     CONFIG_KEYS,
     PARSERS,
+    SECTIONS,
     PipelineConfig,
     _write_run_config,
     build_config,
@@ -296,6 +297,22 @@ def test_build_config_defaults():
 def test_build_config_rejects_unknown_key():
     with pytest.raises(ValidationError, match="wibble"):
         build_config({"wibble": 15})
+
+
+FLOAT_FIELDS = [
+    (section, key)
+    for key, (section, kind) in CONFIG_KEYS.items()
+    if kind is float and section in ("graph", "prop", "train")
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "section, key", FLOAT_FIELDS, ids=[key for _, key in FLOAT_FIELDS]
+)
+def test_config_constructors_reject_non_finite(section, key, value):
+    with pytest.raises(ValidationError, match="%s must be finite" % key):
+        SECTIONS[section](**{key: value})
 
 
 # README defaults that are not literals of the key's own kind
@@ -594,6 +611,30 @@ def test_cli_bad_config_exit_code(cli_dataset, tmp_path, content, row):
     )
     assert proc.returncode == 11, proc.stderr
     assert "(row %d)" % row in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, item",
+    [
+        (["sweep", "--sweep-m", "1,x", "--sweep-b", "1"], "'x'"),
+        (["sweep", "--sweep-m", "1", "--sweep-b", "2.5"], "'2.5'"),
+        (["synth", "--noise-kind", "asymmetric", "--mapping", "0-1"], "'0-1'"),
+        (["synth", "--noise-kind", "asymmetric", "--mapping", "0:1,1:b"], "'b'"),
+    ],
+    ids=["sweep-m", "sweep-b", "mapping-no-colon", "mapping-bad-target"],
+)
+def test_cli_bad_list_exit_code(cli_dataset, tmp_path, args, item):
+    root, feats, labels, _ = cli_dataset
+    if args[0] == "sweep":
+        args += ["--features", str(feats), "--labels", str(labels)]
+        args += ["--out", str(tmp_path / "out")]
+    else:
+        args += ["--out-features", str(tmp_path / "f.bin")]
+        args += ["--out-labels", str(tmp_path / "l.csv")]
+    proc = run_cli(args)
+    assert proc.returncode == 11, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "bad item %s" % item in proc.stderr
 
 
 def test_cli_usage_error_exit_code():
