@@ -173,11 +173,6 @@ def loss_graph_smooth(prob_pairs, alpha_smooth):
     return float(total)
 
 
-def loss_total(l_graph, l_pseudo, l_noisy):
-    """Plain sum of the three components."""
-    return float(l_graph) + float(l_pseudo) + float(l_noisy)
-
-
 def _softmax_backward(probs, dprobs):
     inner = (dprobs * probs).sum(axis=1, keepdims=True)
     return probs * (dprobs - inner)

@@ -51,7 +51,6 @@ from .propagate import (
     SuggestionTensor,
     build_partial_labels,
     certainty_weights,
-    diffusion_oracle,
     solve_propagation,
     suggest_labels,
 )
@@ -77,8 +76,6 @@ class PipelineConfig:
         resplit_each_epoch=True,
         seed=0,
         n_classes=None,
-        use_oracle=False,
-        oracle_iters=1000,
         dump_suggestions=False,
         early_stop=False,
         sweep_m=None,
@@ -94,8 +91,6 @@ class PipelineConfig:
         self.resplit_each_epoch = bool(resplit_each_epoch)
         self.seed = int(seed)
         self.n_classes = None if n_classes is None else int(n_classes)
-        self.use_oracle = bool(use_oracle)
-        self.oracle_iters = int(oracle_iters)
         self.dump_suggestions = bool(dump_suggestions)
         self.early_stop = bool(early_stop)
         self.sweep_m = list(sweep_m) if sweep_m else []
@@ -128,7 +123,6 @@ CONFIG_KEYS = {
     "resplit_each_epoch": (None, bool),
     "seed": (None, int),
     "n_classes": (None, int),
-    "oracle_iters": (None, int),
     "sweep_m": (None, list),
     "sweep_b": (None, list),
 }
@@ -203,21 +197,20 @@ def save_suggestions(path, suggestions):
         )
         fh.write("columns m j sample plane label weight\n")
         M, n = suggestions.n_branches, suggestions.n_samples
+        # (sample, plane) columns of one (m, j) block, reused for each; columns
+        # over the whole (M, M, n, 2) tensor would cost 12 MiB at M=5, n=2400
+        samples, planes = (c.ravel().tolist() for c in np.indices((n, 2)))
         for m in range(M):
             for j in range(M):
-                for i in range(n):
-                    for q in range(2):
-                        fh.write(
-                            "%d %d %d %d %d %s\n"
-                            % (
-                                m,
-                                j,
-                                i,
-                                q,
-                                suggestions.labels[m, j, i, q],
-                                repr(float(suggestions.weights[m, j, i, q])),
-                            )
-                        )
+                fh.writelines(
+                    "%d %d %d %d %d %r\n" % (m, j, i, q, label, weight)
+                    for i, q, label, weight in zip(
+                        samples,
+                        planes,
+                        suggestions.labels[m, j].ravel().tolist(),
+                        suggestions.weights[m, j].ravel().tolist(),
+                    )
+                )
 
 
 def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None):
@@ -289,12 +282,7 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
         sug_weights = np.empty((M, M, n, 2))
         for m in range(M):
             for j in range(M):
-                if cfg.use_oracle:
-                    Z = diffusion_oracle(
-                        graphs[m], planes[j], cfg.prop.alpha_prop, cfg.oracle_iters
-                    )
-                else:
-                    Z = solve_propagation(graphs[m], planes[j], cfg.prop)
+                Z = solve_propagation(graphs[m], planes[j], cfg.prop)
                 sug_labels[m, j] = suggest_labels(Z)
                 sug_weights[m, j] = certainty_weights(Z)
         suggestions = SuggestionTensor(sug_labels, sug_weights, C)
@@ -482,8 +470,6 @@ def _config_from_args(args):
     if getattr(args, "seed", None) is not None:
         values["seed"] = args.seed
     cfg = build_config(values)
-    if getattr(args, "oracle", False):
-        cfg.use_oracle = True
     if getattr(args, "no_resplit", False):
         cfg.resplit_each_epoch = False
     if getattr(args, "dump_suggestions", False):
@@ -624,8 +610,6 @@ def make_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--oracle", action="store_true",
-                   help="solve propagation by fixed-point diffusion instead of CG")
     p.add_argument("--no-resplit", action="store_true")
     p.add_argument("--dump-suggestions", action="store_true")
     p.add_argument("--early-stop", action="store_true")
@@ -639,7 +623,6 @@ def make_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--sweep-m")
     p.add_argument("--sweep-b")
-    p.add_argument("--oracle", action="store_true")
     p.add_argument("--no-resplit", action="store_true")
     p.add_argument("--early-stop", action="store_true")
     p.set_defaults(func=_cmd_sweep)

@@ -5,8 +5,8 @@ Z = (I - alpha*W)^-1 Y by conjugate gradient, one linear system per
 class column and label plane.  The system is symmetric positive
 definite because the normalized W has spectral radius at most 1 and
 alpha < 1.  An independent fixed-point iteration (z <- alpha*W z + y,
-run on scipy's sparse matvec) serves as the oracle route; it shares no
-solver code with the CG path.
+run on scipy's sparse matvec) is the tests' independent check on the
+solver; it shares no solver code with the CG path.
 """
 
 import numpy as np

@@ -11,7 +11,7 @@ class asymmetric flips.
 
 import numpy as np
 
-from .core import FeatureMatrix, ValidationError
+from .core import FeatureMatrix, ValidationError, require_finite
 
 NOISE_KINDS = ("uniform", "confusing", "asymmetric", "none")
 
@@ -27,6 +27,7 @@ class SynthConfig:
         noise_kind="confusing",
         rng_seed=0,
     ):
+        require_finite(class_separation=class_separation, noise_rate=noise_rate)
         if n_classes < 2:
             raise ValidationError("need at least 2 classes")
         if per_class < 1 or dim < 1:
@@ -106,7 +107,7 @@ def margin_deficit(features, labels, centroids):
     return own - masked.min(axis=1), other_class
 
 
-def inject_confusing(features, labels, rate, rng, centroids=None, cfg=None):
+def inject_confusing(features, labels, rate, rng, centroids):
     """Flip the floor(rate*n) most boundary-crowded samples.
 
     Victims are the samples scoring highest on margin deficit; each is
@@ -119,10 +120,6 @@ def inject_confusing(features, labels, rate, rng, centroids=None, cfg=None):
     noisy = labels.copy()
     if flips == 0:
         return noisy
-    if centroids is None:
-        if cfg is None:
-            raise ValidationError("inject_confusing needs centroids or a config")
-        centroids = class_centroids(cfg, np.random.default_rng(cfg.rng_seed))
     score, nearest_other = margin_deficit(features, labels, centroids)
     # stable sort keeps ties in index order, making the pick deterministic
     victims = np.argsort(-score, kind="stable")[:flips]
@@ -130,12 +127,16 @@ def inject_confusing(features, labels, rate, rng, centroids=None, cfg=None):
     return noisy
 
 
-def inject_asymmetric(labels, rate, mapping, rng):
+def inject_asymmetric(labels, rate, mapping, rng, n_classes):
     """Flip a fixed fraction of each mapped class along class->class arrows."""
     labels = np.asarray(labels, dtype=np.int64)
     for src, dst in mapping.items():
         if src == dst:
             raise ValidationError("mapping may not fix class %d" % src)
+        if not (0 <= src < n_classes and 0 <= dst < n_classes):
+            raise ValidationError(
+                "mapping pair %d:%d names a class outside [0, %d)" % (src, dst, n_classes)
+            )
     noisy = labels.copy()
     for src in sorted(mapping):
         members = np.flatnonzero(labels == src)
@@ -162,5 +163,5 @@ def make_noisy_dataset(cfg, rng=None, mapping=None):
         if mapping is None:
             # default derangement: each class maps to the next one
             mapping = {c: (c + 1) % cfg.n_classes for c in range(cfg.n_classes)}
-        noisy = inject_asymmetric(clean, cfg.noise_rate, mapping, rng)
+        noisy = inject_asymmetric(clean, cfg.noise_rate, mapping, rng, cfg.n_classes)
     return features, noisy, clean

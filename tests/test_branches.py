@@ -16,7 +16,6 @@ from graphmend.branches import (
     loss_graph_smooth,
     loss_noisy,
     loss_pseudo,
-    loss_total,
     pair_prob_grads,
     save_model,
     sgd_step,
@@ -134,10 +133,6 @@ def test_loss_graph_smooth_matches_indexed_path():
     loss_idx, _ = pair_prob_grads(probs, s, t, w[s], w[t], 1.5)
     pairs = [(probs[a], probs[b], w[a], w[b]) for a, b in zip(s, t)]
     assert loss_idx == pytest.approx(loss_graph_smooth(pairs, 1.5), abs=1e-12)
-
-
-def test_loss_total_is_plain_sum():
-    assert loss_total(0.5, 1.25, 2.0) == 3.75
 
 
 def numeric_grad(f, theta, eps=1e-6):

@@ -1,7 +1,9 @@
 """End-to-end correction runs, config parsing, and the CLI."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -26,11 +28,13 @@ from graphmend.pipeline import (
     _write_run_config,
     build_config,
     evaluate,
+    make_parser,
     parse_config_file,
     run_correction,
     run_sweep,
+    save_suggestions,
 )
-from graphmend.propagate import PropagationConfig
+from graphmend.propagate import NO_SUGGESTION, PropagationConfig, SuggestionTensor
 from graphmend.branches import TrainConfig
 from graphmend.splitter import SplitConfig
 from graphmend.synth import SynthConfig, make_blobs, make_noisy_dataset
@@ -165,6 +169,56 @@ def test_run_output_layout(tmp_path):
     report2 = load_report(str(tmp_path / "epoch_2" / "report.txt"))
     assert np.array_equal(stored, report2.corrected)
     assert (tmp_path / "final" / "corrected_model.bin").exists()
+
+
+def save_suggestions_reference(path, suggestions):
+    """The per-element writer that save_suggestions replaced."""
+    with open(path, "w") as fh:
+        fh.write("MLCT v1\n")
+        fh.write(
+            "n_branches %d\nn_samples %d\nn_classes %d\n"
+            % (suggestions.n_branches, suggestions.n_samples, suggestions.n_classes)
+        )
+        fh.write("columns m j sample plane label weight\n")
+        M, n = suggestions.n_branches, suggestions.n_samples
+        for m in range(M):
+            for j in range(M):
+                for i in range(n):
+                    for q in range(2):
+                        fh.write(
+                            "%d %d %d %d %d %s\n"
+                            % (
+                                m,
+                                j,
+                                i,
+                                q,
+                                suggestions.labels[m, j, i, q],
+                                repr(float(suggestions.weights[m, j, i, q])),
+                            )
+                        )
+
+
+def hand_built_suggestions(M, n, C=4):
+    rng = np.random.default_rng(M * 100 + n)
+    labels = rng.integers(NO_SUGGESTION, C, size=(M, M, n, 2))
+    weights = rng.uniform(0.0, 1.0, size=(M, M, n, 2))
+    labels.reshape(-1)[0] = NO_SUGGESTION
+    # 0.0, 1.0, the smallest subnormal, and a weight whose repr needs 17 digits
+    special = [0.0, 1.0, 5e-324, 0.1 + 0.2][: weights.size]
+    weights.reshape(-1)[: len(special)] = special
+    return SuggestionTensor(labels, weights, C)
+
+
+@pytest.mark.parametrize("M, n", [(1, 1), (3, 7)])
+def test_save_suggestions_equals_reference_writer(tmp_path, M, n):
+    sug = hand_built_suggestions(M, n)
+    assert repr(0.1 + 0.2) == "0.30000000000000004"
+    save_suggestions(str(tmp_path / "new.txt"), sug)
+    save_suggestions_reference(str(tmp_path / "ref.txt"), sug)
+    got = (tmp_path / "new.txt").read_bytes()
+    assert got == (tmp_path / "ref.txt").read_bytes()
+    assert len(got.splitlines()) == 5 + 2 * M * M * n
+    assert b" -1 " in got
 
 
 def test_run_config_echo(tmp_path):
@@ -640,3 +694,61 @@ def test_cli_bad_list_exit_code(cli_dataset, tmp_path, args, item):
 def test_cli_usage_error_exit_code():
     proc = run_cli([])
     assert proc.returncode == 2
+
+
+def test_cli_oracle_route_is_gone(cli_dataset, tmp_path):
+    root, feats, labels, _ = cli_dataset
+    inputs = ["--features", str(feats), "--labels", str(labels)]
+    for command in ("correct", "sweep"):
+        proc = run_cli([command, *inputs, "--out", str(tmp_path / command), "--oracle"])
+        assert proc.returncode == 2, (command, proc.stderr)
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("k_graph = 6\noracle_iters = 10\n")
+    proc = run_cli(["correct", *inputs, "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert proc.returncode == 11, proc.stderr
+    assert "unknown config key 'oracle_iters' (row 2)" in proc.stderr
+
+
+SYNTH_SMALL = ["synth", "--classes", "3", "--per-class", "20"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--noise-kind", "asymmetric", "--mapping", "0:99"], "0:99"),
+        (["--noise-kind", "asymmetric", "--mapping", "7:1"], "7:1"),
+        (["--separation", "nan"], "class_separation"),
+    ],
+    ids=["mapping-target", "mapping-source", "separation-nan"],
+)
+def test_cli_synth_bad_setting_exit_code(tmp_path, args, named):
+    out = ["--out-features", str(tmp_path / "f.bin"), "--out-labels", str(tmp_path / "l.csv")]
+    proc = run_cli(SYNTH_SMALL + args + out)
+    assert proc.returncode == 11, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+    assert not (tmp_path / "l.csv").exists()
+
+
+def readme_command_line_flags():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+
+
+def test_readme_cli_flags_match_parser():
+    parser = make_parser()
+    subparsers = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    known = {
+        flag
+        for sub in subparsers.choices.values()
+        for flag in sub._option_string_actions
+    }
+    flags = readme_command_line_flags()
+    assert "--dump-suggestions" in flags
+    assert flags <= known, sorted(flags - known)

@@ -143,19 +143,11 @@ def test_confusing_noise_boundary_concentration():
     assert score[flipped].min() >= score[~flipped].max() - 1e-12
 
 
-def test_confusing_noise_needs_centroid_source():
-    from graphmend.core import FeatureMatrix
-
-    feats = FeatureMatrix(np.ones((4, 2), dtype=np.float32))
-    with pytest.raises(ValidationError):
-        inject_confusing(feats, np.zeros(4, dtype=np.int64), 0.5, np.random.default_rng(0))
-
-
 def test_asymmetric_noise_counts_and_targets():
     rng = np.random.default_rng(9)
     labels = np.repeat(np.arange(3), 100)
     mapping = {0: 1, 1: 2, 2: 0}
-    noisy = inject_asymmetric(labels, 0.4, mapping, rng)
+    noisy = inject_asymmetric(labels, 0.4, mapping, rng, 3)
     for src in range(3):
         members = labels == src
         moved = noisy[members] != src
@@ -166,14 +158,14 @@ def test_asymmetric_noise_counts_and_targets():
 def test_asymmetric_noise_untouched_classes_stay():
     rng = np.random.default_rng(10)
     labels = np.repeat(np.arange(3), 50)
-    noisy = inject_asymmetric(labels, 0.5, {0: 2}, rng)
+    noisy = inject_asymmetric(labels, 0.5, {0: 2}, rng, 3)
     assert np.array_equal(noisy[labels != 0], labels[labels != 0])
     assert (noisy[labels == 0] != 1).all()
 
 
 def test_asymmetric_noise_identity_mapping_rejected():
     with pytest.raises(ValidationError):
-        inject_asymmetric(np.zeros(4, dtype=np.int64), 0.5, {0: 0}, np.random.default_rng(0))
+        inject_asymmetric(np.zeros(4, dtype=np.int64), 0.5, {0: 0}, np.random.default_rng(0), 2)
 
 
 def test_make_noisy_dataset_rate_realized():
@@ -214,3 +206,17 @@ def test_synth_config_validation():
         SynthConfig(noise_rate=1.0)
     with pytest.raises(ValidationError):
         SynthConfig(noise_kind="salty")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["class_separation", "noise_rate"])
+def test_synth_config_rejects_non_finite(field, value):
+    with pytest.raises(ValidationError, match="%s must be finite" % field):
+        SynthConfig(**{field: value})
+
+
+@pytest.mark.parametrize("mapping", [{0: 3}, {3: 0}, {-1: 0}])
+def test_asymmetric_noise_rejects_classes_out_of_range(mapping):
+    with pytest.raises(ValidationError, match="outside"):
+        inject_asymmetric(np.zeros(4, dtype=np.int64), 0.5, mapping,
+                          np.random.default_rng(0), 3)
