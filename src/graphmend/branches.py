@@ -137,16 +137,19 @@ def loss_pseudo(probs, corrected, omega_bar):
     return float(-(np.asarray(omega_bar) * np.log(p)).sum())
 
 
-def loss_noisy(probs, noisy, corrected, omega_bar):
-    """Cross entropy on original labels, weighted by agreement.
+def _agreement_weights(noisy, corrected, omega_bar):
+    """Per-sample weights of the noisy-label loss.
 
     Samples whose label survived correction weigh omega_bar; corrected
     samples weigh the complement.
     """
     omega_bar = np.asarray(omega_bar, dtype=np.float64)
-    w = np.where(np.asarray(noisy) == np.asarray(corrected), omega_bar, 1.0 - omega_bar)
-    p = np.maximum(probs[np.arange(len(noisy)), noisy], EPS)
-    return float(-(w * np.log(p)).sum())
+    return np.where(np.asarray(noisy) == np.asarray(corrected), omega_bar, 1.0 - omega_bar)
+
+
+def loss_noisy(probs, noisy, corrected, omega_bar):
+    """Cross entropy on original labels, weighted by agreement."""
+    return loss_pseudo(probs, noisy, _agreement_weights(noisy, corrected, omega_bar))
 
 
 def _pair_terms(ps, pt, ws, wt, alpha):
@@ -204,15 +207,7 @@ def grad_pseudo(model, X, corrected, omega_bar):
 
 def grad_noisy(model, X, noisy, corrected, omega_bar):
     """Loss and flat analytic gradient of loss_noisy."""
-    X = np.asarray(X, dtype=np.float64)
-    hidden, probs = forward(model, X)
-    loss = loss_noisy(probs, noisy, corrected, omega_bar)
-    omega_bar = np.asarray(omega_bar, dtype=np.float64)
-    w = np.where(np.asarray(noisy) == np.asarray(corrected), omega_bar, 1.0 - omega_bar)
-    hot = np.zeros_like(probs)
-    hot[np.arange(len(noisy)), noisy] = 1.0
-    dlogits = w[:, None] * (probs - hot)
-    return loss, _backprop(model, X, hidden, dlogits)
+    return grad_pseudo(model, X, noisy, _agreement_weights(noisy, corrected, omega_bar))
 
 
 def pair_prob_grads(probs, s_pos, t_pos, ws, wt, alpha):

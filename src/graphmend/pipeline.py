@@ -75,11 +75,8 @@ class PipelineConfig:
         outer_epochs=15,
         resplit_each_epoch=True,
         seed=0,
-        n_classes=None,
         dump_suggestions=False,
         early_stop=False,
-        sweep_m=None,
-        sweep_b=None,
     ):
         self.split = split if split is not None else SplitConfig()
         self.graph = graph if graph is not None else GraphConfig()
@@ -90,11 +87,8 @@ class PipelineConfig:
         self.outer_epochs = int(outer_epochs)
         self.resplit_each_epoch = bool(resplit_each_epoch)
         self.seed = int(seed)
-        self.n_classes = None if n_classes is None else int(n_classes)
         self.dump_suggestions = bool(dump_suggestions)
         self.early_stop = bool(early_stop)
-        self.sweep_m = list(sweep_m) if sweep_m else []
-        self.sweep_b = list(sweep_b) if sweep_b else []
 
 
 # Every config-file key: (section of PipelineConfig holding it, or None
@@ -104,7 +98,6 @@ class PipelineConfig:
 CONFIG_KEYS = {
     "n_branches": ("split", int),
     "packages_per_class_per_branch": ("split", int),
-    "rng_seed": ("split", int),
     "k_graph": ("graph", int),
     "gamma": ("graph", float),
     "alpha_prop": ("prop", float),
@@ -122,9 +115,6 @@ CONFIG_KEYS = {
     "outer_epochs": (None, int),
     "resplit_each_epoch": (None, bool),
     "seed": (None, int),
-    "n_classes": (None, int),
-    "sweep_m": (None, list),
-    "sweep_b": (None, list),
 }
 
 SECTIONS = {
@@ -139,16 +129,11 @@ def _stream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _write_run_config(path, cfg, n_classes):
+def _write_run_config(path, cfg):
     """Echo every resolved setting; the file reads back as a config file."""
     with open(path, "w") as fh:
         for key, (section, kind) in CONFIG_KEYS.items():
-            if kind is list:
-                continue
-            if key == "n_classes":
-                value = n_classes
-            else:
-                value = getattr(cfg if section is None else getattr(cfg, section), key)
+            value = getattr(cfg if section is None else getattr(cfg, section), key)
             if kind is bool:
                 value = "true" if value else "false"
             fh.write("%s = %s\n" % (key, value))
@@ -221,11 +206,9 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
     check_pairing(features, labels)
     if labels.size == 0:
         raise ValidationError("label file is empty")
-    C = cfg.n_classes
-    if C is None:
-        C = int(labels.max()) + 1
-        if clean is not None:
-            C = max(C, int(np.asarray(clean).max()) + 1)
+    C = int(labels.max()) + 1
+    if clean is not None:
+        C = max(C, int(np.asarray(clean).max()) + 1)
     M = cfg.split.n_branches
     n = labels.shape[0]
     if not cfg.graph.k_graph < n:
@@ -241,7 +224,7 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
 
     if output_dir is not None:
         ensure_dir(output_dir)
-        _write_run_config(os.path.join(output_dir, "run_config.txt"), cfg, C)
+        _write_run_config(os.path.join(output_dir, "run_config.txt"), cfg)
     split_features = features
     assignment = None
     reports = []
@@ -319,15 +302,17 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
     return reports
 
 
-def run_sweep(cfg, features=None, labels=None, clean=None, output_dir=None):
-    """One full run per (M, B) combination; returns sorted result rows."""
-    if not cfg.sweep_m or not cfg.sweep_b:
-        raise ValidationError("sweep needs nonempty sweep_m and sweep_b lists")
+def run_sweep(
+    cfg, sweep_m, sweep_b, features=None, labels=None, clean=None, output_dir=None
+):
+    """One full run per (M, B) in the two grids; returns sorted result rows."""
+    if not sweep_m or not sweep_b:
+        raise ValidationError("sweep needs nonempty M and B grids")
     rows = []
-    for M in sorted(cfg.sweep_m):
-        for B in sorted(cfg.sweep_b):
+    for M in sorted(sweep_m):
+        for B in sorted(sweep_b):
             sub = copy.copy(cfg)
-            sub.split = SplitConfig(M, B, cfg.split.rng_seed)
+            sub.split = SplitConfig(M, B)
             subdir = None
             if output_dir is not None:
                 subdir = os.path.join(output_dir, "sweep_M%d_B%d" % (M, B))
@@ -401,7 +386,7 @@ def _parse_mapping(text):
     return mapping
 
 
-PARSERS = {int: int, float: _parse_finite, bool: _parse_bool, list: _parse_list}
+PARSERS = {int: int, float: _parse_finite, bool: _parse_bool}
 
 
 def _parse_option(flag, text, parse):
@@ -443,15 +428,13 @@ def parse_config_file(path):
 def build_config(values):
     """Assemble a PipelineConfig from a flat key -> value mapping.
 
-    Missing keys take the config constructors' defaults, except rng_seed,
-    which falls back to seed.
+    Missing keys take the config constructors' defaults.
     """
     kwargs = {section: {} for section in (None, *SECTIONS)}
     for key, value in values.items():
         if key not in CONFIG_KEYS:
             raise ValidationError("unknown config key %r" % key)
         kwargs[CONFIG_KEYS[key][0]][key] = value
-    kwargs["split"].setdefault("rng_seed", values.get("seed", 0))
     sections = {name: cls(**kwargs[name]) for name, cls in SECTIONS.items()}
     return PipelineConfig(**sections, **kwargs[None])
 
@@ -547,12 +530,11 @@ def _cmd_correct(args):
 def _cmd_sweep(args):
     features, noisy, clean = _load_inputs(args)
     cfg = _config_from_args(args)
-    if args.sweep_m:
-        cfg.sweep_m = _parse_option("--sweep-m", args.sweep_m, _parse_list)
-    if args.sweep_b:
-        cfg.sweep_b = _parse_option("--sweep-b", args.sweep_b, _parse_list)
+    sweep_m = _parse_option("--sweep-m", args.sweep_m, _parse_list)
+    sweep_b = _parse_option("--sweep-b", args.sweep_b, _parse_list)
     rows = run_sweep(
-        cfg, features=features, labels=noisy, clean=clean, output_dir=args.out
+        cfg, sweep_m, sweep_b,
+        features=features, labels=noisy, clean=clean, output_dir=args.out,
     )
     for M, B, acc, resid in rows:
         print(
@@ -621,8 +603,8 @@ def make_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--sweep-m")
-    p.add_argument("--sweep-b")
+    p.add_argument("--sweep-m", required=True)
+    p.add_argument("--sweep-b", required=True)
     p.add_argument("--no-resplit", action="store_true")
     p.add_argument("--early-stop", action="store_true")
     p.set_defaults(func=_cmd_sweep)

@@ -119,32 +119,25 @@ def split_dataset(features, labels, cfg, rng=None, n_classes=None):
         members = np.flatnonzero(labels == c)
         class_rng = np.random.default_rng(children[ci])
         local = package_class(features, members, M, B, class_rng)
-        k = max(members.shape[0] // (M * B), 1)
-        full = [p for p in local if p[1].shape[0] == k]
-        leftover = [p for p in local if p[1].shape[0] != k]
+        # full packages share the first one's size; an undersized leftover
+        # package can only come last
+        n_full = len(local) - (local[-1][1].shape[0] < local[0][1].shape[0])
 
-        counts = np.zeros(M, dtype=np.int64)
-        slots = np.repeat(np.arange(M), len(full) // M)
-        extra = len(full) - slots.shape[0]
+        slots = np.repeat(np.arange(M), n_full // M)
+        extra = n_full - slots.shape[0]
         if extra:
             slots = np.concatenate([slots, deal_rng.choice(M, extra, replace=False)])
         deal_rng.shuffle(slots)
-        targets = list(slots)
-        for (seed, group), branch in zip(full, targets):
-            pid = len(all_packages)
-            idx = members[group]
-            branch_of[idx] = branch
-            package_of[idx] = pid
-            counts[branch] += group.shape[0]
-            all_packages.append((int(c), int(members[seed]), idx))
-        for seed, group in leftover:
+        if n_full < len(local):
+            # every full package has the same size, so package counts rank
+            # the branches as sample counts do
+            counts = np.bincount(slots, minlength=M)
             smallest = np.flatnonzero(counts == counts.min())
-            branch = int(smallest[deal_rng.integers(smallest.shape[0])])
-            pid = len(all_packages)
+            slots = np.append(slots, smallest[deal_rng.integers(smallest.shape[0])])
+        for (seed, group), branch in zip(local, slots):
             idx = members[group]
             branch_of[idx] = branch
-            package_of[idx] = pid
-            counts[branch] += group.shape[0]
+            package_of[idx] = len(all_packages)
             all_packages.append((int(c), int(members[seed]), idx))
     return SplitAssignment(branch_of, package_of, all_packages, M)
 

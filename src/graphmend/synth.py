@@ -107,7 +107,7 @@ def margin_deficit(features, labels, centroids):
     return own - masked.min(axis=1), other_class
 
 
-def inject_confusing(features, labels, rate, rng, centroids):
+def inject_confusing(features, labels, rate, centroids):
     """Flip the floor(rate*n) most boundary-crowded samples.
 
     Victims are the samples scoring highest on margin deficit; each is
@@ -158,7 +158,7 @@ def make_noisy_dataset(cfg, rng=None, mapping=None):
     if cfg.noise_kind == "uniform":
         noisy = inject_uniform(clean, cfg.noise_rate, cfg.n_classes, rng)
     elif cfg.noise_kind == "confusing":
-        noisy = inject_confusing(features, clean, cfg.noise_rate, rng, centroids)
+        noisy = inject_confusing(features, clean, cfg.noise_rate, centroids)
     else:
         if mapping is None:
             # default derangement: each class maps to the next one

@@ -233,11 +233,11 @@ def test_run_config_echo(tmp_path):
     assert echoed["k_graph"] == 6
     assert echoed["alpha_prop"] == 0.9
     assert echoed["seed"] == 9
-    assert echoed["n_classes"] == 3
     assert echoed["resplit_each_epoch"] is True
     # the echo is a complete config: rebuilt and echoed again, it is unchanged
+    assert list(echoed) == list(CONFIG_KEYS)
     again = tmp_path / "again.txt"
-    _write_run_config(str(again), build_config(echoed), echoed["n_classes"])
+    _write_run_config(str(again), build_config(echoed))
     assert again.read_bytes() == (tmp_path / "run_config.txt").read_bytes()
 
 
@@ -258,10 +258,9 @@ def test_run_rejects_missing_inputs():
 def test_sweep_rows_sorted_and_written(tmp_path):
     feats, noisy, clean = noisy_blobs(seed=10, per_class=30)
     cfg = small_cfg(seed=10, M=2, B=1, outer_epochs=1)
-    cfg.sweep_m = [2, 1]
-    cfg.sweep_b = [1]
     rows = run_sweep(
-        cfg, features=feats, labels=noisy, clean=clean, output_dir=str(tmp_path)
+        cfg, [2, 1], [1],
+        features=feats, labels=noisy, clean=clean, output_dir=str(tmp_path),
     )
     assert [(r[0], r[1]) for r in rows] == [(1, 1), (2, 1)]
     assert all(isinstance(r[2], float) for r in rows)
@@ -275,16 +274,18 @@ def test_sweep_rows_sorted_and_written(tmp_path):
 def test_sweep_keeps_dump_suggestions(tmp_path):
     feats, noisy, clean = noisy_blobs(seed=11, per_class=30)
     cfg = small_cfg(seed=11, M=2, B=1, outer_epochs=1, dump_suggestions=True)
-    cfg.sweep_m = [1, 2]
-    cfg.sweep_b = [1]
-    run_sweep(cfg, features=feats, labels=noisy, clean=clean, output_dir=str(tmp_path))
+    run_sweep(
+        cfg, [1, 2], [1],
+        features=feats, labels=noisy, clean=clean, output_dir=str(tmp_path),
+    )
     for cell in ("sweep_M1_B1", "sweep_M2_B1"):
         assert (tmp_path / cell / "epoch_1" / "suggestions.txt").exists(), cell
 
 
 def test_sweep_requires_grid():
-    with pytest.raises(ValidationError):
-        run_sweep(small_cfg(), features=None, labels=None)
+    for sweep_m, sweep_b in (([], [1]), ([1], [])):
+        with pytest.raises(ValidationError, match="nonempty"):
+            run_sweep(small_cfg(), sweep_m, sweep_b, features=None, labels=None)
 
 
 def test_parse_config_file_values(tmp_path):
@@ -294,7 +295,7 @@ def test_parse_config_file_values(tmp_path):
         "n_branches = 4\n"
         "gamma = 2.5   # trailing comment\n"
         "resplit_each_epoch = false\n"
-        "sweep_m = 1,3,5\n"
+        "seed = 3\n"
         "\n"
     )
     values = parse_config_file(str(path))
@@ -302,7 +303,7 @@ def test_parse_config_file_values(tmp_path):
         "n_branches": 4,
         "gamma": 2.5,
         "resplit_each_epoch": False,
-        "sweep_m": [1, 3, 5],
+        "seed": 3,
     }
 
 
@@ -369,15 +370,6 @@ def test_config_constructors_reject_non_finite(section, key, value):
         SECTIONS[section](**{key: value})
 
 
-# README defaults that are not literals of the key's own kind
-DERIVED_DEFAULTS = {
-    "rng_seed": "seed",
-    "n_classes": "inferred",
-    "sweep_m": "none",
-    "sweep_b": "none",
-}
-
-
 def readme_config_table():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
@@ -397,22 +389,10 @@ def test_readme_config_table_matches_code():
     assert [key for key, _ in rows] == list(CONFIG_KEYS)
     cfg = build_config({})
     for key, default in rows:
-        if key in DERIVED_DEFAULTS:
-            assert default == DERIVED_DEFAULTS[key], key
-            continue
         section, kind = CONFIG_KEYS[key]
         want = getattr(cfg if section is None else getattr(cfg, section), key)
         got = PARSERS[kind](default)
         assert got == want and type(got) is type(want), key
-    assert cfg.split.rng_seed == cfg.seed
-    assert cfg.n_classes is None
-    assert cfg.sweep_m == [] and cfg.sweep_b == []
-
-
-def test_build_config_seed_flows_to_split():
-    cfg = build_config({"seed": 42})
-    assert cfg.seed == 42
-    assert cfg.split.rng_seed == 42
 
 
 # ------------------------------------------------------------- CLI
@@ -702,11 +682,33 @@ def test_cli_oracle_route_is_gone(cli_dataset, tmp_path):
     for command in ("correct", "sweep"):
         proc = run_cli([command, *inputs, "--out", str(tmp_path / command), "--oracle"])
         assert proc.returncode == 2, (command, proc.stderr)
-    cfg = tmp_path / "old.cfg"
-    cfg.write_text("k_graph = 6\noracle_iters = 10\n")
-    proc = run_cli(["correct", *inputs, "--out", str(tmp_path / "o"), "--config", str(cfg)])
-    assert proc.returncode == 11, proc.stderr
-    assert "unknown config key 'oracle_iters' (row 2)" in proc.stderr
+    # keys of earlier versions that no longer change a run
+    for key, value in [
+        ("oracle_iters", "10"),
+        ("rng_seed", "3"),
+        ("n_classes", "3"),
+        ("sweep_m", "1,3"),
+        ("sweep_b", "2"),
+    ]:
+        cfg = tmp_path / ("old_%s.cfg" % key)
+        cfg.write_text("k_graph = 6\n%s = %s\n" % (key, value))
+        out = str(tmp_path / ("o_" + key))
+        proc = run_cli(["correct", *inputs, "--out", out, "--config", str(cfg)])
+        assert proc.returncode == 11, (key, proc.stderr)
+        assert "unknown config key %r (row 2)" % key in proc.stderr
+
+
+@pytest.mark.parametrize("missing", ["--sweep-m", "--sweep-b"])
+def test_cli_sweep_requires_both_grids(cli_dataset, tmp_path, missing):
+    root, feats, labels, cfg = cli_dataset
+    grids = {"--sweep-m": "1", "--sweep-b": "1"}
+    del grids[missing]
+    args = ["sweep", "--features", str(feats), "--labels", str(labels)]
+    args += ["--out", str(tmp_path / "out"), "--config", str(cfg)]
+    proc = run_cli(args + [item for pair in grids.items() for item in pair])
+    assert proc.returncode == 2, proc.stderr
+    assert missing in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 SYNTH_SMALL = ["synth", "--classes", "3", "--per-class", "20"]

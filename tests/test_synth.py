@@ -115,9 +115,7 @@ def test_confusing_noise_picks_worst_margins():
         [[0.5, 0.0], [1.0, 0.0], [3.9, 0.0], [3.8, 0.0]], dtype=np.float32
     )
     labels = np.zeros(4, dtype=np.int64)
-    noisy = inject_confusing(
-        FeatureMatrix(X), labels, 0.5, np.random.default_rng(0), centroids
-    )
+    noisy = inject_confusing(FeatureMatrix(X), labels, 0.5, centroids)
     assert noisy.tolist() == [0, 0, 1, 1]
 
 
@@ -126,7 +124,7 @@ def test_confusing_noise_flips_to_nearest_other():
     feats, clean = make_blobs(cfg)
     # dim >= n_classes, so the centroid layout is the deterministic simplex
     centroids = class_centroids(cfg, np.random.default_rng(0))
-    noisy = inject_confusing(feats, clean, 0.25, np.random.default_rng(7), centroids)
+    noisy = inject_confusing(feats, clean, 0.25, centroids)
     flipped = np.flatnonzero(noisy != clean)
     assert flipped.shape[0] == 100
     _, nearest_other = margin_deficit(feats, clean, centroids)
