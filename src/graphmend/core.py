@@ -238,9 +238,21 @@ def load_label_columns(path, n_classes=None):
     When every nonempty line carries exactly two comma-separated fields
     the file is treated as two columns (noisy, clean); otherwise all
     fields are flattened in reading order into a single label list.
+    A byte that is not UTF-8 raises FormatError; a field that is not an
+    integer in [0, n_classes), or in int64 range when n_classes is None,
+    raises ValidationError.  Both name the row.
     """
-    with open(path) as fh:
-        raw = fh.read()
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        raw = blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the bad byte sits on the line a character placed there would
+        head = blob[:err.start].decode("utf-8") + "x"
+        raise FormatError(
+            "non-UTF-8 byte in label row %d" % len(head.splitlines()),
+            offset=err.start,
+        )
     rows = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
         fields = [f.strip() for f in line.split(",") if f.strip()]
@@ -254,10 +266,12 @@ def load_label_columns(path, n_classes=None):
                 raise ValidationError("non-integer label %r" % f, row=lineno)
         rows.append((lineno, parsed))
 
+    stop = 2**63 if n_classes is None else n_classes
+
     def check(value, lineno):
-        if value < 0 or (n_classes is not None and value >= n_classes):
+        if not 0 <= value < stop:
             raise ValidationError(
-                "label %d outside [0, %s)" % (value, n_classes), row=lineno
+                "label %d outside [0, %d)" % (value, stop), row=lineno
             )
         return value
 

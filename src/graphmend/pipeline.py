@@ -305,12 +305,13 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
 def run_sweep(
     cfg, sweep_m, sweep_b, features=None, labels=None, clean=None, output_dir=None
 ):
-    """One full run per (M, B) in the two grids; returns sorted result rows."""
+    """One full run per distinct (M, B) in the two grids; returns sorted
+    result rows."""
     if not sweep_m or not sweep_b:
         raise ValidationError("sweep needs nonempty M and B grids")
     rows = []
-    for M in sorted(sweep_m):
-        for B in sorted(sweep_b):
+    for M in sorted(set(sweep_m)):
+        for B in sorted(set(sweep_b)):
             sub = copy.copy(cfg)
             sub.split = SplitConfig(M, B)
             subdir = None

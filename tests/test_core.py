@@ -150,6 +150,29 @@ def test_labels_single_column_roundtrip(tmp_path):
     assert clean is None
 
 
+def test_labels_non_utf8_byte_is_format_error(tmp_path):
+    path = tmp_path / "l.txt"
+    path.write_bytes(b"0\n1\r\n2,\xff\n")
+    with pytest.raises(core.FormatError, match=r"row 3 \(byte offset 7\)"):
+        core.load_label_columns(path)
+
+
+@pytest.mark.parametrize("n_classes", [None, 3])
+def test_labels_beyond_int64_is_validation_error(tmp_path, n_classes):
+    path = tmp_path / "l.txt"
+    path.write_text("0\n99999999999999999999\n")
+    with pytest.raises(core.ValidationError) as err:
+        core.load_label_columns(path, n_classes)
+    assert err.value.row == 2
+
+
+def test_labels_int64_max_is_read(tmp_path):
+    path = tmp_path / "l.txt"
+    path.write_text("%d\n" % (2**63 - 1))
+    labels, _ = core.load_label_columns(path)
+    assert labels.tolist() == [2**63 - 1]
+
+
 def test_pairing_mismatch():
     with pytest.raises(core.ValidationError):
         core.check_pairing(
@@ -213,6 +236,29 @@ def test_report_truncated_at_every_offset_is_format_error(tmp_path):
         cut.write_bytes(blob[:size])
         with pytest.raises(core.FormatError):
             core.load_report(cut)
+
+
+@pytest.mark.parametrize("clean", [None, [2, 0, 11, 1]], ids=["one-column", "two-column"])
+@pytest.mark.parametrize("n_classes", [None, 12])
+def test_labels_truncated_or_flipped_raise_only_package_errors(tmp_path, clean, n_classes):
+    path = tmp_path / "l.txt"
+    core.save_labels(path, [10, 2, 0, 11], clean=clean)
+    blob = path.read_bytes()
+    # every prefix, and every single byte replaced by each other value
+    variants = [blob[:size] for size in range(len(blob))]
+    variants += [
+        blob[:at] + bytes([value]) + blob[at + 1:]
+        for at in range(len(blob))
+        for value in range(256)
+        if value != blob[at]
+    ]
+    cut = tmp_path / "cut.txt"
+    for variant in variants:
+        cut.write_bytes(variant)
+        try:
+            core.load_label_columns(cut, n_classes)
+        except core.GraphmendError:
+            pass
 
 
 @pytest.mark.parametrize("old,new", [

@@ -35,8 +35,8 @@ def topk_rows_reference(sims, k):
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(vals, order, axis=1)
 
 
-def assert_topk_equal(sims, k):
-    got_idx, got_vals = graph._topk_rows(sims.copy(), k)
+def assert_topk_equal(sims, k, kernel="_topk_rows"):
+    got_idx, got_vals = getattr(graph, kernel)(sims.copy(), k)
     want_idx, want_vals = topk_rows_reference(sims.copy(), k)
     assert np.array_equal(got_idx, want_idx)
     assert np.array_equal(got_vals, want_vals)
@@ -98,17 +98,95 @@ def test_topk_signed_zero_tie_keeps_each_sign():
     assert_topk_equal(sims, 3)
 
 
-def duplicated_features(rng):
-    base = np.round(rng.standard_normal((25, 4)), 0)
+def assert_slabs_equal(sims, k):
+    assert graph._slab_count(sims.shape[1], k) >= 2
+    assert_topk_equal(sims, k, "_topk_slabs")
+
+
+def test_slab_shape_rule():
+    # global-2k's shape stays on the direct kernel
+    assert graph._slab_count(2000, 50) == 0
+    assert graph._slab_count(64 * 5 - 1, 5) == 0
+    assert graph._slab_count(64 * 5, 5) == 4
+    assert graph._slab_count(8000, 5) == 20
+    assert graph._slab_count(2400, 10) == 7
+
+
+@pytest.mark.parametrize(
+    "make", [random_rows, decimal_rows, signed_zero_rows, equal_rows]
+)
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_slab_topk_equals_reference(make, diagonal):
+    rng = np.random.default_rng(2)
+    for k in (1, 2, 5, 10):
+        for _ in range(6):
+            n = int(rng.integers(64 * k, 64 * k + 200))
+            b = int(rng.integers(1, 40))
+            sims = make(rng, b, n)
+            if diagonal:
+                sims[np.arange(b), np.arange(b)] = -np.inf
+            assert_slabs_equal(sims, k)
+
+
+def test_slab_topk_tail_columns():
+    # g = 4 slabs of width 83 leave columns 332..334 as the tail, which
+    # hold the row's three largest entries
+    rng = np.random.default_rng(3)
+    sims = rng.random((16, 335))
+    assert graph._slab_count(335, 5) == 4
+    sims[:, 332:] += 1.0
+    sims[::2, 333] = sims[::2, 0] = 5.0
+    assert_slabs_equal(sims, 5)
+    idx, _ = graph._topk_slabs(sims, 5)
+    assert all({332, 333, 334} <= set(row) for row in idx.tolist())
+
+
+def test_slab_topk_bound_tied_outside_the_pick():
+    # n = 128, k = 2: g = 4 slabs of width 32.  Each row holds 1.0 in
+    # four or more slab columns, so more slab maxima equal the bound than
+    # the k picked; the answer is the two lowest columns holding 1.0,
+    # which an unpicked slab column may own
+    rng = np.random.default_rng(4)
+    sims = rng.random((64, 128)) * 0.5
+    for row in sims:
+        slab_cols = rng.choice(32, size=int(rng.integers(4, 9)), replace=False)
+        row[slab_cols + 32 * rng.integers(0, 4, slab_cols.size)] = 1.0
+    assert_slabs_equal(sims, 2)
+    # n = 64, k = 1: g = 4 slabs of width 16, and the lowest 1.0 sits in
+    # the highest slab column holding one
+    sims = np.zeros((1, 64))
+    sims[0, [16 * 3 + 1, 16 * 2 + 2, 16 * 1 + 3, 4]] = 1.0
+    idx, _ = graph._topk_slabs(sims.copy(), 1)
+    assert idx.tolist() == [[4]]
+    assert_slabs_equal(sims, 1)
+
+
+def test_slab_topk_kth_value_tied_among_candidates():
+    # n = 128, k = 2: slab column 5 is the only one holding 1.0, in three
+    # of the four slabs, so the bound is untied and the tie among those
+    # candidates goes to the lowest two columns
+    sims = np.full((1, 128), 0.25)
+    sims[0, [32 * 3 + 5, 32 + 5, 32 * 2 + 5]] = 1.0
+    sims[0, 7] = 0.5
+    idx, vals = graph._topk_slabs(sims.copy(), 2)
+    assert idx.tolist() == [[37, 69]]
+    assert vals.tolist() == [[1.0, 1.0]]
+    assert_slabs_equal(sims, 2)
+    assert_slabs_equal(np.vstack([sims, sims[:, ::-1], -sims]), 2)
+
+
+def duplicated_features(rng, distinct=25, copies=3):
+    base = np.round(rng.standard_normal((distinct, 4)), 0)
     base[base.sum(axis=1) == 0, 0] = 1.0
-    # every row appears three times, and rows are quantized to integers,
-    # so many similarities tie exactly
-    return FeatureMatrix(np.repeat(base, 3, axis=0)[rng.permutation(75)])
+    # every row appears `copies` times, and rows are quantized to
+    # integers, so many similarities tie exactly
+    n = distinct * copies
+    return FeatureMatrix(np.repeat(base, copies, axis=0)[rng.permutation(n)])
 
 
-@pytest.mark.parametrize("block", [7, 512])
-def test_knn_graph_equals_reference_kernel_on_ties(monkeypatch, block):
-    feats = duplicated_features(np.random.default_rng(8))
+def assert_knn_graph_equals_reference(monkeypatch, feats, block, kernel):
+    """knn_neighbors, A and W come out bit-identical when `kernel` in
+    graph is swapped for the reference top-k."""
     cfg = GraphConfig(k_graph=5, gamma=3.0)
 
     def build():
@@ -117,7 +195,7 @@ def test_knn_graph_equals_reference_kernel_on_ties(monkeypatch, block):
         return nb, sims, A, normalize_graph(A)
 
     got = build()
-    monkeypatch.setattr(graph, "_topk_rows", topk_rows_reference)
+    monkeypatch.setattr(graph, kernel, topk_rows_reference)
     want = build()
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -126,6 +204,21 @@ def test_knn_graph_equals_reference_kernel_on_ties(monkeypatch, block):
         assert np.array_equal(g.indptr, w.indptr)
         assert np.array_equal(g.indices, w.indices)
         assert np.array_equal(g.data, w.data)
+
+
+@pytest.mark.parametrize("block", [7, 512])
+def test_knn_graph_equals_reference_kernel_on_ties(monkeypatch, block):
+    feats = duplicated_features(np.random.default_rng(8))
+    assert_knn_graph_equals_reference(monkeypatch, feats, block, "_topk_rows")
+
+
+@pytest.mark.parametrize("block", [7, 512])
+def test_knn_graph_slab_path_equals_reference_kernel_on_ties(monkeypatch, block):
+    # n = 335 >= 64 k: the slab path runs, with g = 4 slabs of width 83
+    # and 3 tail columns
+    feats = duplicated_features(np.random.default_rng(9), distinct=67, copies=5)
+    assert graph._slab_count(feats.n_samples, 5) == 4
+    assert_knn_graph_equals_reference(monkeypatch, feats, block, "_topk_slabs")
 
 
 def test_correction_run_equals_reference_topk_run(monkeypatch):

@@ -271,6 +271,18 @@ def test_sweep_rows_sorted_and_written(tmp_path):
     assert (tmp_path / "sweep_M2_B1" / "final" / "labels.csv").exists()
 
 
+def test_sweep_runs_each_distinct_cell_once(tmp_path):
+    feats, noisy, clean = noisy_blobs(seed=10, per_class=30)
+    cfg = small_cfg(seed=10, M=2, B=1, outer_epochs=1)
+    rows = run_sweep(
+        cfg, [1, 1], [2, 1, 2],
+        features=feats, labels=noisy, clean=clean, output_dir=str(tmp_path),
+    )
+    assert [(r[0], r[1]) for r in rows] == [(1, 1), (1, 2)]
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1", "1"], ["1", "2"]]
+
+
 def test_sweep_keeps_dump_suggestions(tmp_path):
     feats, noisy, clean = noisy_blobs(seed=11, per_class=30)
     cfg = small_cfg(seed=11, M=2, B=1, outer_epochs=1, dump_suggestions=True)
@@ -602,6 +614,33 @@ def test_cli_invalid_labels_exit_code(tmp_path):
         ]
     )
     assert proc.returncode == 11
+
+
+@pytest.mark.parametrize(
+    "content, code, named",
+    [
+        (b"0\n1\n\xff\n", 10, "row 3"),
+        (b"0\n99999999999999999999\n1\n", 11, "(row 2)"),
+    ],
+    ids=["not-utf8", "beyond-int64"],
+)
+@pytest.mark.parametrize("command", ["correct", "eval"])
+def test_cli_bad_label_file_exit_code(tmp_path, command, content, code, named):
+    labels = tmp_path / "l.csv"
+    labels.write_bytes(content)
+    if command == "correct":
+        feats = tmp_path / "f.bin"
+        save_features(str(feats), FeatureMatrix(np.ones((3, 2), dtype=np.float32)))
+        args = ["--features", str(feats), "--labels", str(labels)]
+        args += ["--out", str(tmp_path / "out")]
+    else:
+        good = tmp_path / "good.csv"
+        good.write_text("0\n1\n1\n")
+        args = ["--labels", str(labels), "--corrected", str(good)]
+    proc = run_cli([command] + args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
 
 
 def test_cli_diverging_run_exit_code(cli_dataset, tmp_path):
