@@ -2,9 +2,11 @@
 
 For every (graph m, label set j) pair the solver computes
 Z = (I - alpha*W)^-1 Y by conjugate gradient, one linear system per
-class column and label plane.  The system is symmetric positive
-definite because the normalized W has spectral radius at most 1 and
-alpha < 1.  An independent fixed-point iteration (z <- alpha*W z + y,
+distinct class column.  A column that is a bit-for-bit copy of another
+is solved once and copied; at epoch 1 the current labels equal the
+original ones, so plane 1 repeats plane 0.  The system is symmetric
+positive definite because the normalized W has spectral radius at most
+1 and alpha < 1.  An independent fixed-point iteration (z <- alpha*W z + y,
 run on scipy's sparse matvec) is the tests' independent check on the
 solver; it shares no solver code with the CG path.
 """
@@ -43,6 +45,8 @@ class SuggestionTensor:
         if self.labels.size:
             if self.labels.max() >= n_classes or self.labels.min() < NO_SUGGESTION:
                 raise ValidationError("suggested label outside [0, n_classes)")
+            if not np.isfinite(self.weights).all():
+                raise ValidationError("certainty weight is nan or inf")
             if self.weights.min() < 0 or self.weights.max() > 1:
                 raise ValidationError("certainty weight outside [0, 1]")
         self.n_branches = self.labels.shape[0]
@@ -70,20 +74,46 @@ def solve_propagation(W, Y, cfg):
     """Solve (I - alpha*W) Z = Y column by column with conjugate gradient.
 
     All-zero columns are returned as all-zero without touching the
-    solver.  Raises SolverError with the worst residual if any column
-    misses cg_tolerance * ||y|| within cg_max_iters iterations.
+    solver, and columns with identical bytes are solved once and copied.
+    Raises ValidationError when Y's rows do not match the graph's nodes
+    or Y holds nan or inf, and SolverError with the worst residual if
+    any column misses cg_tolerance * ||y|| within cg_max_iters
+    iterations.
     """
     if not W.normalized:
         raise ValidationError("propagation needs a normalized graph")
     Y = np.asarray(Y, dtype=np.float64)
     n = W.n
+    if Y.ndim == 0 or Y.shape[0] != n:
+        raise ValidationError(
+            "label block of shape %s does not match a graph of %d nodes" % (Y.shape, n)
+        )
     flat = Y.reshape(n, -1)
+    if not np.isfinite(flat).all():
+        raise ValidationError("label block holds nan or inf")
     Z = np.zeros_like(flat)
-    bnorm = np.linalg.norm(flat, axis=0)
-    live = bnorm > 0
-    if live.any():
-        Z[:, live] = _cg(W, flat[:, live], cfg)
+    live = np.flatnonzero(np.linalg.norm(flat, axis=0) > 0)
+    if live.size:
+        cols, slot = _distinct_columns(flat, live)
+        # b stays the fancy-index slice flat[:, cols] (F-ordered): CG's
+        # reductions sum in another order on other layouts
+        Z[:, live] = _cg(W, flat[:, cols], cfg)[:, slot]
     return Z.reshape(Y.shape)
+
+
+def _distinct_columns(flat, live):
+    """First column of each distinct byte pattern among `live`, and the
+    position in that list of every live column's pattern.
+
+    Keeps all of `live` when they share one pattern: CG on a 1-column
+    block sums in another order than on wider blocks, whose columns are
+    solved independently of each other.
+    """
+    slots = {}
+    slot = [slots.setdefault(flat[:, c].tobytes(), len(slots)) for c in live]
+    if len(slots) == 1:
+        return live, np.arange(live.size)
+    return live[np.unique(slot, return_index=True)[1]], np.array(slot)
 
 
 def _cg(W, b, cfg):

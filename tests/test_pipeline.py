@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from graphmend import pipeline, propagate
 from graphmend.core import (
     FeatureMatrix,
     ValidationError,
@@ -169,6 +170,51 @@ def test_run_output_layout(tmp_path):
     report2 = load_report(str(tmp_path / "epoch_2" / "report.txt"))
     assert np.array_equal(stored, report2.corrected)
     assert (tmp_path / "final" / "corrected_model.bin").exists()
+
+
+def test_epoch_one_solves_each_class_once(monkeypatch):
+    feats, noisy, clean = noisy_blobs(seed=9, per_class=40, C=4)
+    splits, widths, layouts = [], [], []
+    split = pipeline.split_dataset
+    cg = propagate._cg
+
+    def record_split(*args, **kwargs):
+        splits.append(split(*args, **kwargs))
+        return splits[-1]
+
+    def record_cg(W, b, cfg):
+        widths.append(b.shape[1])
+        layouts.append(b.flags.f_contiguous)
+        return cg(W, b, cfg)
+
+    monkeypatch.setattr(pipeline, "split_dataset", record_split)
+    monkeypatch.setattr(propagate, "_cg", record_cg)
+    M = 3
+    run_correction(small_cfg(seed=9, M=M, outer_epochs=1), features=feats, labels=noisy)
+    # both planes hold the same labels at epoch 1: one column per class
+    # present in label set j, for every graph m
+    present = [np.unique(noisy[splits[0].branch_of == j]).size for j in range(M)]
+    assert min(present) >= 2
+    assert widths == present * M
+    # the solver gets the F-ordered slice flat[:, cols]; CG's reductions
+    # sum in another order on a C-ordered block
+    assert all(layouts)
+
+
+def test_two_epoch_run_equals_run_without_dedup(monkeypatch, tmp_path):
+    feats, noisy, clean = noisy_blobs(seed=10, per_class=40, C=4)
+    cfg = small_cfg(seed=10, dump_suggestions=True)
+    run_correction(cfg, features=feats, labels=noisy, output_dir=str(tmp_path / "dedup"))
+    monkeypatch.setattr(
+        propagate, "_distinct_columns", lambda flat, live: (live, np.arange(live.size))
+    )
+    run_correction(cfg, features=feats, labels=noisy, output_dir=str(tmp_path / "every"))
+    dedup, every = (
+        {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+        for root in (tmp_path / "dedup", tmp_path / "every")
+    )
+    assert "epoch_2/suggestions.txt" in dedup
+    assert dedup == every
 
 
 def save_suggestions_reference(path, suggestions):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmend import propagate
 from graphmend.core import FeatureMatrix, LabelState, SolverError, ValidationError
 from graphmend.graph import GraphConfig, SparseGraph, build_adjacency, normalize_graph
 from graphmend.propagate import (
@@ -149,6 +150,119 @@ def test_solver_error_reports_residual():
         solve_propagation(W, Y, cfg)
 
 
+def test_solve_rejects_row_count_mismatch():
+    W = random_normalized_graph(3, 20)
+    for Y in (np.ones((19, 2)), np.ones((21, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ValidationError, match="20 nodes"):
+            solve_propagation(W, Y, PropagationConfig())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_column(bad):
+    W = random_normalized_graph(3, 20)
+    Y = np.zeros((20, 2, 2))
+    Y[:, 0, 0] = 1.0
+    Y[5, 1, 1] = bad
+    with pytest.raises(ValidationError, match="nan or inf"):
+        solve_propagation(W, Y, PropagationConfig())
+
+
+def solve_propagation_reference(W, Y, cfg):
+    """The solver before duplicate columns were solved once: every live
+    column goes to one CG call."""
+    Y = np.asarray(Y, dtype=np.float64)
+    n = W.n
+    flat = Y.reshape(n, -1)
+    Z = np.zeros_like(flat)
+    live = np.linalg.norm(flat, axis=0) > 0
+    if live.any():
+        Z[:, live] = propagate._cg(W, flat[:, live], cfg)
+    return Z.reshape(Y.shape)
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture(scope="module", params=[50, 5], ids=["k50", "k5"])
+def knn_graph(request):
+    """A cosine kNN graph at k = 50 (the README default) or k = 5."""
+    rng = np.random.default_rng(request.param)
+    X = rng.standard_normal((300, 8)).astype(np.float32)
+    return normalize_graph(build_adjacency(FeatureMatrix(X), GraphConfig(k_graph=request.param)))
+
+
+def test_dedup_identical_planes_equal_reference(knn_graph):
+    rng = np.random.default_rng(11)
+    n = knn_graph.n
+    cfg = PropagationConfig()
+    for C, share in ((16, 1.0), (4, 0.3), (3, 0.05)):
+        # one-hot labels on a share of the rows; plane 1 copies plane 0
+        members = np.flatnonzero(rng.uniform(size=n) < share)
+        Y = np.zeros((n, C, 2))
+        Y[members, rng.integers(C, size=members.size), 0] = 1.0
+        Y[:, :, 1] = Y[:, :, 0]
+        assert_bits_equal(solve_propagation(knn_graph, Y, cfg),
+                          solve_propagation_reference(knn_graph, Y, cfg))
+
+
+def test_dedup_scattered_duplicates_equal_reference(knn_graph):
+    rng = np.random.default_rng(12)
+    n = knn_graph.n
+    cfg = PropagationConfig(alpha_prop=0.9)
+    base = rng.uniform(0, 1, (n, 4))
+    base[rng.uniform(size=(n, 4)) < 0.7] = 0.0
+    # 13 columns: zero columns and copies of the 4 patterns, in no order
+    pick = [2, -1, 0, 2, 3, -1, 1, 0, 0, 3, -1, 2, 1]
+    Y = np.column_stack([base[:, c] if c >= 0 else np.zeros(n) for c in pick])
+    cols, slot = propagate._distinct_columns(Y, np.flatnonzero(np.array(pick) >= 0))
+    assert cols.tolist() == [0, 2, 4, 6]
+    assert slot.tolist() == [0, 1, 0, 2, 3, 1, 1, 2, 0, 3]
+    assert_bits_equal(solve_propagation(knn_graph, Y, cfg),
+                      solve_propagation_reference(knn_graph, Y, cfg))
+
+
+def test_dedup_keeps_width_when_all_live_columns_match(knn_graph):
+    rng = np.random.default_rng(13)
+    n = knn_graph.n
+    cfg = PropagationConfig()
+    y = np.zeros(n)
+    y[rng.uniform(size=n) < 0.4] = 1.0
+    Y = np.column_stack([np.zeros(n), y, y, np.zeros(n)])
+    want = solve_propagation_reference(knn_graph, Y, cfg)
+    assert_bits_equal(solve_propagation(knn_graph, Y, cfg), want)
+    # a 1-column block reduces in another order, so solving the one
+    # distinct column alone would move bits
+    alone = propagate._cg(knn_graph, Y[:, [1]], cfg)
+    assert not np.array_equal(alone[:, 0].view(np.int64), want[:, 1].view(np.int64))
+
+
+def test_dedup_single_live_column_equal_reference(knn_graph):
+    rng = np.random.default_rng(14)
+    n = knn_graph.n
+    cfg = PropagationConfig()
+    Y = np.zeros((n, 3, 2))
+    Y[rng.uniform(size=n) < 0.5, 2, 0] = 1.0
+    assert_bits_equal(solve_propagation(knn_graph, Y, cfg),
+                      solve_propagation_reference(knn_graph, Y, cfg))
+
+
+def test_dedup_signed_zero_columns_are_distinct(knn_graph):
+    rng = np.random.default_rng(15)
+    n = knn_graph.n
+    cfg = PropagationConfig()
+    y = np.zeros(n)
+    y[rng.uniform(size=n) < 0.4] = 1.0
+    signed = np.where(y == 0.0, -0.0, y)
+    Y = np.column_stack([y, signed, y, signed])
+    assert np.array_equal(y, signed) and y.tobytes() != signed.tobytes()
+    cols, slot = propagate._distinct_columns(Y, np.arange(4))
+    assert cols.tolist() == [0, 1] and slot.tolist() == [0, 1, 0, 1]
+    assert_bits_equal(solve_propagation(knn_graph, Y, cfg),
+                      solve_propagation_reference(knn_graph, Y, cfg))
+
+
 def test_diffusion_zero_iters_is_identity():
     W = random_normalized_graph(8, 20)
     Y = np.random.default_rng(9).uniform(0, 1, (20, 2))
@@ -255,6 +369,11 @@ def test_suggestion_tensor_validation():
     heavy[0, 0, 0, 0] = 1.5
     with pytest.raises(ValidationError):
         SuggestionTensor(labels, heavy, C)
+    for bad in (np.nan, np.inf, -np.inf):
+        odd = weights.copy()
+        odd[1, 0, 2, 1] = bad
+        with pytest.raises(ValidationError, match="nan or inf"):
+            SuggestionTensor(labels, odd, C)
 
 
 def test_propagation_config_validation():
