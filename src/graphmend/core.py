@@ -216,20 +216,15 @@ def load_features(path):
 def save_labels(path, labels, clean=None):
     """Write labels one per line; clean labels become a second column."""
     labels = np.asarray(labels, dtype=np.int64)
-    lines = []
     if clean is None:
-        for v in labels:
-            lines.append("%d" % v)
+        lines = ["%d\n" % v for v in labels.tolist()]
     else:
         clean = np.asarray(clean, dtype=np.int64)
         if clean.shape != labels.shape:
             raise ValidationError("clean labels must match noisy labels in length")
-        for v, c in zip(labels, clean):
-            lines.append("%d,%d" % (v, c))
+        lines = ["%d,%d\n" % row for row in zip(labels.tolist(), clean.tolist())]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 def load_label_columns(path, n_classes=None):
@@ -309,17 +304,16 @@ def save_report(path, report):
         "n_samples %d" % report.n_samples,
         "columns index noisy corrected confidence changed",
     ]
-    for i in range(report.n_samples):
-        lines.append(
-            "%d %d %d %s %d"
-            % (
-                i,
-                report.noisy[i],
-                report.corrected[i],
-                repr(float(report.confidence[i])),
-                1 if report.changed[i] else 0,
-            )
+    lines.extend(
+        "%d %d %d %r %d" % row
+        for row in zip(
+            range(report.n_samples),
+            report.noisy.tolist(),
+            report.corrected.tolist(),
+            report.confidence.tolist(),
+            report.changed.tolist(),
         )
+    )
     lines.append("summary %s" % json.dumps(report.summary(), sort_keys=True))
     with open(path, "w") as fh:
         fh.write("\n".join(lines))

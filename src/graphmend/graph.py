@@ -21,15 +21,22 @@ ties to the lower index exactly as on the whole row.  Narrower blocks
 argpartition kernel.
 
 Edge weights are clamp(cosine, 0, 1) ** gamma so fractional gamma stays
-real even when raw cosine goes negative.  Normalization computes
-S = A + A^T, D = diag(row sums of S), W = D^-1/2 S D^-1/2; the per-entry
-scale factors are multiplied together first so W is symmetric bit for
-bit, and isolated nodes keep all-zero rows.
+real even when raw cosine goes negative.  scipy.sparse builds the CSR
+arrays: A from its unique (source, target) pairs, each row in ascending
+target order, and S = A + A^T, where a reciprocal pair merges with one
+commutative addition and entries that sum to zero are dropped.
+Normalization computes D = diag(row sums of S), W = D^-1/2 S D^-1/2.
+np.bincount over S's rows gives the degrees, adding each row from +0.0
+in ascending column order, so dropped zeros change no sum;
+S.sum(axis=1) adds in another order and gives other bits.  The
+per-entry scale factors are multiplied together first so W is
+symmetric bit for bit, and isolated nodes keep all-zero rows.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse
 
 from .core import ValidationError, require_finite
 
@@ -59,11 +66,14 @@ class SparseGraph:
     def nnz(self):
         return self.data.shape[0]
 
+    def tocsr(self):
+        """scipy view of the graph; it shares this record's arrays."""
+        return scipy.sparse.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=(self.n, self.n)
+        )
+
     def toarray(self):
-        out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        return out
+        return self.tocsr().toarray()
 
 
 def _normalized_features(features):
@@ -172,41 +182,24 @@ def build_adjacency(features, cfg):
     neighbors, sims = knn_neighbors(features, cfg.k_graph)
     weights = np.clip(sims, 0.0, 1.0) ** cfg.gamma
     # entry (s, t): source row s = neighbour of target t
-    rows = neighbors.ravel()
-    cols = np.repeat(np.arange(n), cfg.k_graph)
-    data = weights.ravel()
-    order = np.lexsort((cols, rows))
-    rows, cols, data = rows[order], cols[order], data[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseGraph(n, indptr, cols, data, normalized=False)
+    targets = np.repeat(np.arange(n), cfg.k_graph)
+    A = scipy.sparse.csr_matrix(
+        (weights.ravel(), (neighbors.ravel(), targets)), shape=(n, n)
+    )
+    return SparseGraph(n, A.indptr, A.indices, A.data, normalized=False)
 
 
 def normalize_graph(A):
     """Symmetric normalization W = D^-1/2 (A + A^T) D^-1/2."""
     n = A.n
-    rows_a = np.repeat(np.arange(n), np.diff(A.indptr))
-    cols_a = A.indices
-    # symmetrize in COO form, merging duplicate (row, col) pairs
-    rows = np.concatenate([rows_a, cols_a])
-    cols = np.concatenate([cols_a, rows_a])
-    data = np.concatenate([A.data, A.data])
-    order = np.lexsort((cols, rows))
-    rows, cols, data = rows[order], cols[order], data[order]
-    if rows.size:
-        new_pair = np.empty(rows.size, dtype=np.bool_)
-        new_pair[0] = True
-        new_pair[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(new_pair)
-        merged = np.add.reduceat(data, starts)
-        rows, cols, data = rows[starts], cols[starts], merged
-    degree = np.bincount(rows, weights=data, minlength=n)
+    a = A.tocsr()
+    S = a + a.T
+    rows = np.repeat(np.arange(n), np.diff(S.indptr))
+    degree = np.bincount(rows, weights=S.data, minlength=n)
     inv_sqrt = np.zeros(n)
     alive = degree > 0
     inv_sqrt[alive] = 1.0 / np.sqrt(degree[alive])
     # multiply the two scale factors together first; the product is the
     # same for (s, t) and (t, s), keeping W exactly symmetric
-    data = data * (inv_sqrt[rows] * inv_sqrt[cols])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseGraph(n, indptr, cols, data, normalized=True)
+    data = S.data * (inv_sqrt[rows] * inv_sqrt[S.indices])
+    return SparseGraph(n, S.indptr, S.indices, data, normalized=True)

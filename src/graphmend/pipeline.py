@@ -84,6 +84,8 @@ class PipelineConfig:
         self.train = train if train is not None else TrainConfig()
         if outer_epochs < 1:
             raise ValidationError("outer_epochs must be >= 1")
+        if seed < 0:
+            raise ValidationError("seed must be >= 0")
         self.outer_epochs = int(outer_epochs)
         self.resplit_each_epoch = bool(resplit_each_epoch)
         self.seed = int(seed)
@@ -493,7 +495,7 @@ def _cmd_synth(args):
 
 def _cmd_split(args):
     features, noisy, _ = _load_inputs(args)
-    cfg = SplitConfig(args.branches, args.packages, args.seed or 0)
+    cfg = SplitConfig(args.branches, args.packages, args.seed)
     assignment = split_dataset(features, noisy, cfg)
     with open(args.out, "w") as fh:
         fh.write("MLCS v1\n")
@@ -502,10 +504,14 @@ def _cmd_split(args):
             % (assignment.n_samples, assignment.n_branches, len(assignment.packages))
         )
         fh.write("columns index branch package\n")
-        for i in range(assignment.n_samples):
-            fh.write(
-                "%d %d %d\n" % (i, assignment.branch_of[i], assignment.package_of[i])
+        fh.writelines(
+            "%d %d %d\n" % row
+            for row in zip(
+                range(assignment.n_samples),
+                assignment.branch_of.tolist(),
+                assignment.package_of.tolist(),
             )
+        )
     print("wrote split of %d samples to %s" % (assignment.n_samples, args.out))
     return 0
 

@@ -12,7 +12,6 @@ solver; it shares no solver code with the CG path.
 """
 
 import numpy as np
-import scipy.sparse
 
 from . import accel
 from .core import SolverError, ValidationError, require_finite
@@ -154,9 +153,8 @@ def diffusion_oracle(W, Y, alpha, iters):
     any shared solver code so the two routes stay independent checks.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    n = W.n
-    S = scipy.sparse.csr_matrix((W.data, W.indices, W.indptr), shape=(n, n))
-    flat = Y.reshape(n, -1)
+    S = W.tocsr()
+    flat = Y.reshape(W.n, -1)
     z = flat.copy()
     for _ in range(iters):
         z = alpha * (S @ z) + flat

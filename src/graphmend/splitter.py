@@ -21,6 +21,8 @@ class SplitConfig:
             raise ValidationError("n_branches must be >= 1")
         if packages_per_class_per_branch < 1:
             raise ValidationError("packages_per_class_per_branch must be >= 1")
+        if rng_seed < 0:
+            raise ValidationError("rng_seed must be >= 0")
         self.n_branches = int(n_branches)
         self.packages_per_class_per_branch = int(packages_per_class_per_branch)
         self.rng_seed = int(rng_seed)

@@ -36,6 +36,8 @@ class SynthConfig:
             raise ValidationError("noise_rate must lie in [0, 1)")
         if noise_kind not in NOISE_KINDS:
             raise ValidationError("unknown noise kind %r" % noise_kind)
+        if rng_seed < 0:
+            raise ValidationError("rng_seed must be >= 0")
         self.n_classes = int(n_classes)
         self.per_class = int(per_class)
         self.dim = int(dim)

@@ -1,5 +1,7 @@
 """File formats: exact round-trips and precise failure offsets."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,72 @@ def make_report(rng, n, epoch=2, with_accuracy=True):
     confidence = rng.random(n)
     acc = float(rng.random()) if with_accuracy else None
     return core.CorrectionReport(epoch, noisy, corrected, confidence, acc)
+
+
+def save_report_reference(path, report):
+    """The per-element report writer that core.save_report replaced, kept
+    as the byte-exact reference for it."""
+    lines = [
+        "MLCR v1",
+        "epoch %d" % report.epoch,
+        "n_samples %d" % report.n_samples,
+        "columns index noisy corrected confidence changed",
+    ]
+    for i in range(report.n_samples):
+        lines.append(
+            "%d %d %d %s %d"
+            % (
+                i,
+                report.noisy[i],
+                report.corrected[i],
+                repr(float(report.confidence[i])),
+                1 if report.changed[i] else 0,
+            )
+        )
+    lines.append("summary %s" % json.dumps(report.summary(), sort_keys=True))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def save_labels_reference(path, labels, clean=None):
+    """The per-element label writer that core.save_labels replaced, kept
+    as the byte-exact reference for it."""
+    labels = np.asarray(labels, dtype=np.int64)
+    lines = []
+    if clean is None:
+        for v in labels:
+            lines.append("%d" % v)
+    else:
+        for v, c in zip(labels, np.asarray(clean, dtype=np.int64)):
+            lines.append("%d,%d" % (v, c))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+        if lines:
+            fh.write("\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_report_bytes_equal_reference_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    for with_accuracy in (False, True):
+        report = make_report(rng, n, with_accuracy=with_accuracy)
+        report.confidence[: n // 2] = rng.integers(0, 2, n // 2)
+        core.save_report(tmp_path / "got.txt", report)
+        save_report_reference(tmp_path / "want.txt", report)
+        got = (tmp_path / "got.txt").read_bytes()
+        assert got == (tmp_path / "want.txt").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 37])
+@pytest.mark.parametrize("with_clean", [False, True])
+def test_labels_bytes_equal_reference_writer(tmp_path, n, with_clean):
+    rng = np.random.default_rng(n)
+    labels = rng.integers(0, 2**40, n)
+    clean = rng.integers(0, 5, n) if with_clean else None
+    core.save_labels(tmp_path / "got.csv", labels, clean)
+    save_labels_reference(tmp_path / "want.csv", labels, clean)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_report_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from graphmend import graph
 from graphmend.branches import TrainConfig
@@ -14,7 +15,7 @@ from graphmend.graph import (
     normalize_graph,
 )
 from graphmend.pipeline import PipelineConfig, run_correction
-from graphmend.propagate import PropagationConfig
+from graphmend.propagate import PropagationConfig, solve_propagation
 from graphmend.splitter import SplitConfig
 from graphmend.synth import SynthConfig, make_noisy_dataset
 
@@ -356,22 +357,16 @@ def test_adjacency_column_count():
     assert np.trace(dense) == 0.0
 
 
-def int_graph(dense):
-    dense = np.asarray(dense, dtype=np.float64)
-    n = dense.shape[0]
-    indptr = [0]
-    indices = []
-    data = []
-    for i in range(n):
-        nz = np.flatnonzero(dense[i])
-        indices.extend(nz.tolist())
-        data.extend(dense[i, nz].tolist())
-        indptr.append(len(indices))
-    return SparseGraph(n, indptr, indices, data, normalized=False)
+def graph_from_dense(dense, normalized=False):
+    """SparseGraph holding the nonzero entries of a dense matrix."""
+    csr = scipy.sparse.csr_matrix(np.asarray(dense, dtype=np.float64))
+    return SparseGraph(
+        csr.shape[0], csr.indptr, csr.indices, csr.data, normalized=normalized
+    )
 
 
 def test_normalize_two_node_swap():
-    W = normalize_graph(int_graph([[0.0, 1.0], [1.0, 0.0]]))
+    W = normalize_graph(graph_from_dense([[0.0, 1.0], [1.0, 0.0]]))
     assert W.normalized
     # S = [[0,2],[2,0]], degrees (2,2), W = [[0,1],[1,0]]
     assert np.allclose(W.toarray(), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
@@ -379,7 +374,7 @@ def test_normalize_two_node_swap():
 
 def test_normalize_three_cycle():
     dense = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
-    W = normalize_graph(int_graph(dense))
+    W = normalize_graph(graph_from_dense(dense))
     # symmetrized cycle: every node has two unit edges, degree 2,
     # so each normalized weight is 1/2
     want = np.array([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
@@ -391,8 +386,8 @@ def test_normalize_scale_invariance():
     dense = rng.uniform(0, 1, (8, 8))
     np.fill_diagonal(dense, 0.0)
     dense[dense < 0.5] = 0.0
-    a = normalize_graph(int_graph(dense)).toarray()
-    b = normalize_graph(int_graph(dense * 7.5)).toarray()
+    a = normalize_graph(graph_from_dense(dense)).toarray()
+    b = normalize_graph(graph_from_dense(dense * 7.5)).toarray()
     assert np.allclose(a, b, atol=1e-14)
 
 
@@ -401,13 +396,13 @@ def test_normalize_exact_bitwise_symmetry():
     dense = rng.uniform(0, 1, (30, 30))
     np.fill_diagonal(dense, 0.0)
     dense[dense < 0.6] = 0.0
-    W = normalize_graph(int_graph(dense)).toarray()
+    W = normalize_graph(graph_from_dense(dense)).toarray()
     assert np.array_equal(W, W.T)
 
 
 def test_normalize_isolated_node_row_stays_zero():
     dense = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-    W = normalize_graph(int_graph(dense))
+    W = normalize_graph(graph_from_dense(dense))
     full = W.toarray()
     assert np.allclose(full[2], 0.0)
     assert np.allclose(full[:, 2], 0.0)
@@ -417,7 +412,7 @@ def test_normalize_isolated_node_row_stays_zero():
 def test_normalize_merges_reciprocal_edges():
     # A has both (0,1)=3 and (1,0)=5; S merges to 8 on each side
     dense = np.array([[0, 3.0], [5.0, 0]])
-    W = normalize_graph(int_graph(dense))
+    W = normalize_graph(graph_from_dense(dense))
     assert W.nnz == 2
     assert np.allclose(W.toarray(), [[0, 1], [1, 0]], atol=1e-15)
 
@@ -452,5 +447,124 @@ def test_normalize_against_dense_oracle():
     deg = S.sum(axis=1)
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     want = inv[:, None] * S * inv[None, :]
-    got = normalize_graph(int_graph(dense)).toarray()
+    got = normalize_graph(graph_from_dense(dense)).toarray()
     assert np.allclose(got, want, atol=1e-14)
+
+
+def build_adjacency_reference(features, cfg):
+    """The lexsort adjacency builder that build_adjacency replaced, kept
+    as the bit-exact reference for it."""
+    n = features.n_samples
+    neighbors, sims = knn_neighbors(features, cfg.k_graph)
+    weights = np.clip(sims, 0.0, 1.0) ** cfg.gamma
+    rows = neighbors.ravel()
+    cols = np.repeat(np.arange(n), cfg.k_graph)
+    data = weights.ravel()
+    order = np.lexsort((cols, rows))
+    rows, cols, data = rows[order], cols[order], data[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseGraph(n, indptr, cols, data, normalized=False)
+
+
+def normalize_graph_reference(A):
+    """The lexsort/reduceat normalization that normalize_graph replaced,
+    kept as the bit-exact reference for it."""
+    n = A.n
+    rows_a = np.repeat(np.arange(n), np.diff(A.indptr))
+    cols_a = A.indices
+    rows = np.concatenate([rows_a, cols_a])
+    cols = np.concatenate([cols_a, rows_a])
+    data = np.concatenate([A.data, A.data])
+    order = np.lexsort((cols, rows))
+    rows, cols, data = rows[order], cols[order], data[order]
+    if rows.size:
+        new_pair = np.empty(rows.size, dtype=np.bool_)
+        new_pair[0] = True
+        new_pair[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(new_pair)
+        merged = np.add.reduceat(data, starts)
+        rows, cols, data = rows[starts], cols[starts], merged
+    degree = np.bincount(rows, weights=data, minlength=n)
+    inv_sqrt = np.zeros(n)
+    alive = degree > 0
+    inv_sqrt[alive] = 1.0 / np.sqrt(degree[alive])
+    data = data * (inv_sqrt[rows] * inv_sqrt[cols])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return SparseGraph(n, indptr, cols, data, normalized=True)
+
+
+def assert_normalized_equals_reference(A, A_ref):
+    """W from A equals the reference W from A_ref bit for bit, except that
+    the reference keeps explicit zeros, and CG on both gives the same
+    bits."""
+    W = normalize_graph(A)
+    want = normalize_graph_reference(A_ref)
+    assert W.normalized
+    dense = W.toarray()
+    assert np.array_equal(dense.view(np.uint64), want.toarray().view(np.uint64))
+    nonzero = want.tocsr().copy()
+    nonzero.eliminate_zeros()
+    assert np.array_equal(W.indptr, nonzero.indptr)
+    assert np.array_equal(W.indices, nonzero.indices)
+    assert np.array_equal(W.data.view(np.uint64), nonzero.data.view(np.uint64))
+    Y = np.zeros((A.n, 3, 2))
+    Y[np.arange(A.n), np.arange(A.n) % 3, np.arange(A.n) % 2] = 1.0
+    cfg = PropagationConfig(alpha_prop=0.9)
+    got = solve_propagation(W, Y, cfg)
+    assert np.array_equal(got.view(np.uint64), solve_propagation(want, Y, cfg).view(np.uint64))
+    return W, want
+
+
+def assert_graph_equals_reference(feats, k_graph):
+    cfg = GraphConfig(k_graph=k_graph, gamma=3.0)
+    A = build_adjacency(feats, cfg)
+    A_ref = build_adjacency_reference(feats, cfg)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(A_ref, name))
+    assert np.array_equal(np.signbit(A.data), np.signbit(A_ref.data))
+    return assert_normalized_equals_reference(A, A_ref)
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_graph_equals_reference_on_ties(seed):
+    # integer-valued duplicated rows: many similarities tie exactly
+    feats = duplicated_features(np.random.default_rng(seed))
+    for k_graph in (1, 5, 20):
+        assert_graph_equals_reference(feats, k_graph)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_graph_equals_reference_with_zero_weight_edges(dim):
+    # low dimension and k near n: a large share of the kept neighbours
+    # have negative cosine, so A holds explicit zero weights, which the
+    # scipy sum A + A^T drops from W
+    rng = np.random.default_rng(dim)
+    feats = FeatureMatrix(rng.standard_normal((200, dim)))
+    A = build_adjacency(feats, GraphConfig(k_graph=150, gamma=3.0))
+    assert (A.data == 0).sum() > 1000
+    W, want = assert_graph_equals_reference(feats, 150)
+    assert W.nnz < want.nnz
+
+
+def test_normalize_equals_reference_on_reciprocal_edges():
+    # every edge has its reverse with another weight, plus one-way edges
+    rng = np.random.default_rng(21)
+    dense = rng.uniform(0, 1, (40, 40))
+    np.fill_diagonal(dense, 0.0)
+    dense[dense < 0.7] = 0.0
+    dense[:20, :20] = np.triu(dense[:20, :20]) + np.triu(dense[:20, :20]).T * 0.3
+    A = graph_from_dense(dense)
+    assert_normalized_equals_reference(A, A)
+
+
+def test_normalize_equals_reference_with_isolated_node():
+    # a 3-cycle, a reciprocal pair 3 <-> 4, and node 5, whose only entry
+    # (4 -> 5) is an explicit zero
+    A = SparseGraph(6, [0, 1, 2, 3, 4, 6, 6], [1, 2, 0, 4, 3, 5],
+                    [0.5, 0.5, 0.5, 0.25, 0.75, 0.0])
+    W, want = assert_normalized_equals_reference(A, A)
+    assert W.nnz == want.nnz - 2
+    dense = W.toarray()
+    assert not dense[5].any() and not dense[:, 5].any()

@@ -37,7 +37,7 @@ from graphmend.pipeline import (
 )
 from graphmend.propagate import NO_SUGGESTION, PropagationConfig, SuggestionTensor
 from graphmend.branches import TrainConfig
-from graphmend.splitter import SplitConfig
+from graphmend.splitter import SplitConfig, split_dataset
 from graphmend.synth import SynthConfig, make_blobs, make_noisy_dataset
 
 
@@ -595,6 +595,35 @@ def test_cli_split_dump(cli_dataset):
     assert branches <= {0, 1, 2}
 
 
+def save_split_table_reference(path, assignment):
+    """The per-element split-table writer that _cmd_split replaced, kept
+    as the byte-exact reference for it."""
+    with open(path, "w") as fh:
+        fh.write("MLCS v1\n")
+        fh.write(
+            "n_samples %d\nn_branches %d\nn_packages %d\n"
+            % (assignment.n_samples, assignment.n_branches, len(assignment.packages))
+        )
+        fh.write("columns index branch package\n")
+        for i in range(assignment.n_samples):
+            fh.write(
+                "%d %d %d\n" % (i, assignment.branch_of[i], assignment.package_of[i])
+            )
+
+
+def test_cli_split_table_equals_reference_writer(cli_dataset, tmp_path):
+    root, feats, labels, _ = cli_dataset
+    out = tmp_path / "split.txt"
+    args = ["split", "--features", str(feats), "--labels", str(labels)]
+    proc = run_cli(args + ["--branches", "3", "--packages", "2", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    noisy, _ = load_label_columns(str(labels))
+    assignment = split_dataset(load_features(str(feats)), noisy, SplitConfig(3, 2, 0))
+    want = tmp_path / "want.txt"
+    save_split_table_reference(want, assignment)
+    assert out.read_bytes() == want.read_bytes()
+
+
 def test_cli_sweep(cli_dataset):
     root, feats, labels, cfg = cli_dataset
     out = root / "sweep"
@@ -815,6 +844,35 @@ def test_cli_synth_bad_setting_exit_code(tmp_path, args, named):
     assert "Traceback" not in proc.stderr
     assert named in proc.stderr
     assert not (tmp_path / "l.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, seed",
+    [("synth", "-1"), ("split", "-1"), ("correct", "-5"), ("sweep", "-2"), ("config", "-3")],
+)
+def test_cli_negative_seed_exit_code(cli_dataset, tmp_path, command, seed):
+    root, feats, labels, _ = cli_dataset
+    inputs = ["--features", str(feats), "--labels", str(labels)]
+    out = str(tmp_path / "out")
+    if command == "synth":
+        args = SYNTH_SMALL + ["--out-features", str(tmp_path / "f.bin")]
+        args += ["--out-labels", str(tmp_path / "l.csv"), "--seed", seed]
+    elif command == "split":
+        args = ["split", *inputs, "--out", out, "--seed", seed]
+    elif command == "correct":
+        args = ["correct", *inputs, "--out", out, "--seed", seed]
+    elif command == "sweep":
+        args = ["sweep", *inputs, "--out", out, "--seed", seed]
+        args += ["--sweep-m", "1", "--sweep-b", "1"]
+    else:
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("k_graph = 6\nseed = %s\n" % seed)
+        args = ["correct", *inputs, "--out", out, "--config", str(cfg)]
+    proc = run_cli(args)
+    assert proc.returncode == 11, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "seed must be >= 0" in proc.stderr
+    assert not os.path.exists(out) and not (tmp_path / "l.csv").exists()
 
 
 def readme_command_line_flags():

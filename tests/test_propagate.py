@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from graphmend import propagate
 from graphmend.core import FeatureMatrix, LabelState, SolverError, ValidationError
-from graphmend.graph import GraphConfig, SparseGraph, build_adjacency, normalize_graph
+from graphmend.graph import GraphConfig, build_adjacency, normalize_graph
 from graphmend.propagate import (
     NO_SUGGESTION,
     PropagationConfig,
@@ -19,20 +19,7 @@ from graphmend.propagate import (
     suggest_labels,
 )
 from graphmend.splitter import SplitConfig, split_dataset
-
-
-def graph_from_dense(dense, normalized=False):
-    dense = np.asarray(dense, dtype=np.float64)
-    n = dense.shape[0]
-    indptr = [0]
-    indices = []
-    data = []
-    for i in range(n):
-        nz = np.flatnonzero(dense[i])
-        indices.extend(nz.tolist())
-        data.extend(dense[i, nz].tolist())
-        indptr.append(len(indices))
-    return SparseGraph(n, indptr, indices, data, normalized=normalized)
+from test_graph import graph_from_dense
 
 
 def random_normalized_graph(seed, n):
