@@ -13,6 +13,7 @@ trains all branches from one shared random initialization.
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
@@ -47,6 +48,7 @@ from .core import (
 from .correct import apply_correction, decide_all, normalize_confidence
 from .graph import GraphConfig, build_adjacency, normalize_graph
 from .propagate import (
+    NO_SUGGESTION,
     PropagationConfig,
     SuggestionTensor,
     build_partial_labels,
@@ -184,20 +186,21 @@ def save_suggestions(path, suggestions):
         )
         fh.write("columns m j sample plane label weight\n")
         M, n = suggestions.n_branches, suggestions.n_samples
-        # (sample, plane) columns of one (m, j) block, reused for each; columns
-        # over the whole (M, M, n, 2) tensor would cost 12 MiB at M=5, n=2400
-        samples, planes = (c.ravel().tolist() for c in np.indices((n, 2)))
+        # "sample plane " text of one (m, j) block and "label " text of each
+        # class (index label + 1, so -1 lands at 0), each formatted once
+        rows = ["%d %d " % (i, q) for i in range(n) for q in range(2)]
+        label_text = np.array(
+            ["%d " % c for c in range(NO_SUGGESTION, suggestions.n_classes)], dtype=object
+        )
         for m in range(M):
             for j in range(M):
-                fh.writelines(
-                    "%d %d %d %d %d %r\n" % (m, j, i, q, label, weight)
-                    for i, q, label, weight in zip(
-                        samples,
-                        planes,
-                        suggestions.labels[m, j].ravel().tolist(),
-                        suggestions.weights[m, j].ravel().tolist(),
-                    )
+                columns = (
+                    itertools.repeat("%d %d " % (m, j)),
+                    rows,
+                    label_text[suggestions.labels[m, j].ravel() + 1].tolist(),
+                    ("%r\n" % w for w in suggestions.weights[m, j].ravel().tolist()),
                 )
+                fh.write("".join(map("".join, zip(*columns))))
 
 
 def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None):

@@ -6,9 +6,16 @@ distinct class column.  A column that is a bit-for-bit copy of another
 is solved once and copied; at epoch 1 the current labels equal the
 original ones, so plane 1 repeats plane 0.  The system is symmetric
 positive definite because the normalized W has spectral radius at most
-1 and alpha < 1.  An independent fixed-point iteration (z <- alpha*W z + y,
-run on scipy's sparse matvec) is the tests' independent check on the
-solver; it shares no solver code with the CG path.
+1 and alpha < 1.
+
+For an (n, C, 2) Y, Z comes back class-major: a view whose strides are
+(8, 16n, 8n), so each class plane is one contiguous run of n values.
+Scoring reduces over the class axis; on this layout numpy walks memory
+in order instead of an inner loop two elements long, and each sum still
+adds the classes in index order, so the bits match a C-ordered Z.  A
+2-D Y keeps a C-ordered Z: summing the rows of an F-ordered (n, K) array
+adds K >= 8 values in another order than numpy's pairwise sum over a
+C-ordered row, so its scores would change in the last bit.
 """
 
 import numpy as np
@@ -77,7 +84,9 @@ def solve_propagation(W, Y, cfg):
     Raises ValidationError when Y's rows do not match the graph's nodes
     or Y holds nan or inf, and SolverError with the worst residual if
     any column misses cg_tolerance * ||y|| within cg_max_iters
-    iterations.
+    iterations.  Z has Y's shape; for a Y of three or more dimensions it
+    is a class-major view, for a 2-D Y a C-ordered array (see the
+    module docstring).
     """
     if not W.normalized:
         raise ValidationError("propagation needs a normalized graph")
@@ -90,7 +99,9 @@ def solve_propagation(W, Y, cfg):
     flat = Y.reshape(n, -1)
     if not np.isfinite(flat).all():
         raise ValidationError("label block holds nan or inf")
-    Z = np.zeros_like(flat)
+    # column-major for (n, C, 2) blocks, so Z.reshape(Y.shape) stays a
+    # view with contiguous class planes (see the module docstring)
+    Z = np.zeros(flat.shape[::-1]).T if Y.ndim > 2 else np.zeros_like(flat)
     live = np.flatnonzero(np.linalg.norm(flat, axis=0) > 0)
     if live.size:
         cols, slot = _distinct_columns(flat, live)
@@ -118,8 +129,10 @@ def _distinct_columns(flat, live):
 def _cg(W, b, cfg):
     matvec = accel.make_csr_matvec(W.indptr, W.indices, W.data)
     alpha = cfg.alpha_prop
-    x = np.zeros_like(b)
+    # x in resid's C order: `x += step * p` mixing an F-ordered x with a
+    # C-ordered p costs twice the matching resid update
     resid = b.copy()
+    x = np.zeros_like(resid)
     p = resid.copy()
     rs = np.einsum("ij,ij->j", resid, resid)
     goal = (cfg.cg_tolerance * np.linalg.norm(b, axis=0)) ** 2
@@ -144,21 +157,6 @@ def _cg(W, b, cfg):
             "(worst residual %.3e)" % (cfg.cg_max_iters, worst)
         )
     return x
-
-
-def diffusion_oracle(W, Y, alpha, iters):
-    """Fixed-point iteration z <- alpha*W z + y on scipy's sparse matvec.
-
-    Converges to the same fixed point the solver targets; kept free of
-    any shared solver code so the two routes stay independent checks.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    S = W.tocsr()
-    flat = Y.reshape(W.n, -1)
-    z = flat.copy()
-    for _ in range(iters):
-        z = alpha * (S @ z) + flat
-    return z.reshape(Y.shape)
 
 
 def suggest_labels(Z):

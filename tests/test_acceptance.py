@@ -35,11 +35,11 @@ from graphmend.propagate import (
     PropagationConfig,
     SuggestionTensor,
     certainty_weights,
-    diffusion_oracle,
     solve_propagation,
 )
 from graphmend.splitter import SplitConfig, split_dataset
 from graphmend.synth import SynthConfig, make_noisy_dataset
+from test_propagate import diffusion_oracle
 
 
 def verdict(num, label, ok, detail):

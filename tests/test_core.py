@@ -366,3 +366,47 @@ def test_model_vector_roundtrip(tmp_path):
     loaded, dim, hidden, n_classes = core.load_model_vector(path)
     assert (dim, hidden, n_classes) == (2, 3, 4)
     assert np.array_equal(loaded, theta)
+
+
+def prefixes_and_replaced_bytes(blob):
+    """Every proper prefix of `blob`, then `blob` with each byte replaced
+    by 0x00, 0xff and two single-bit flips of itself."""
+    prefixes = [blob[:size] for size in range(len(blob))]
+    replaced = [
+        blob[:at] + bytes([value]) + blob[at + 1:]
+        for at in range(len(blob))
+        for value in sorted({0x00, 0xFF, blob[at] ^ 0x01, blob[at] ^ 0x80} - {blob[at]})
+    ]
+    return prefixes, replaced
+
+
+def write_feature_file(path):
+    data = np.random.default_rng(6).standard_normal((3, 2)).astype(np.float32)
+    core.save_features(path, core.FeatureMatrix(data))
+
+
+def write_model_file(path):
+    theta = np.random.default_rng(7).standard_normal(1 * 2 + 2 + 2 * 2 + 2)
+    core.save_model_vector(path, theta, 1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "write, load",
+    [(write_feature_file, core.load_features), (write_model_file, core.load_model_vector)],
+    ids=["MLCF", "MLCK"],
+)
+def test_binary_truncated_or_replaced_raise_only_package_errors(tmp_path, write, load):
+    path = tmp_path / "file.bin"
+    write(path)
+    prefixes, replaced = prefixes_and_replaced_bytes(path.read_bytes())
+    cut = tmp_path / "cut.bin"
+    for variant in prefixes:
+        cut.write_bytes(variant)
+        with pytest.raises(core.FormatError):
+            load(cut)
+    for variant in replaced:
+        cut.write_bytes(variant)
+        try:
+            load(cut)
+        except core.GraphmendError:
+            pass

@@ -39,6 +39,7 @@ from graphmend.propagate import NO_SUGGESTION, PropagationConfig, SuggestionTens
 from graphmend.branches import TrainConfig
 from graphmend.splitter import SplitConfig, split_dataset
 from graphmend.synth import SynthConfig, make_blobs, make_noisy_dataset
+from test_propagate import cg_reference
 
 
 def small_cfg(seed=0, M=3, B=2, outer_epochs=2, **kwargs):
@@ -245,19 +246,32 @@ def save_suggestions_reference(path, suggestions):
 
 
 def hand_built_suggestions(M, n, C=4):
-    rng = np.random.default_rng(M * 100 + n)
+    rng = np.random.default_rng(M * 100 + n + C)
     labels = rng.integers(NO_SUGGESTION, C, size=(M, M, n, 2))
-    weights = rng.uniform(0.0, 1.0, size=(M, M, n, 2))
+    # a few distinct values, so most weights repeat within a block
+    weights = rng.choice([0.0, -0.0, 0.5, 1.0, rng.uniform()], size=(M, M, n, 2))
+    weights[:, :, ::2] = rng.uniform(0.0, 1.0, size=weights[:, :, ::2].shape)
+    # equal planes, as at epoch 1
+    labels[:, :, 1::3, 1] = labels[:, :, 1::3, 0]
+    weights[:, :, 1::3, 1] = weights[:, :, 1::3, 0]
     labels.reshape(-1)[0] = NO_SUGGESTION
-    # 0.0, 1.0, the smallest subnormal, and a weight whose repr needs 17 digits
-    special = [0.0, 1.0, 5e-324, 0.1 + 0.2][: weights.size]
+    # 0.0, 1.0, the smallest subnormal, a weight whose repr needs 17
+    # digits, and -0.0 next to 0.0
+    special = [0.0, 1.0, 5e-324, 0.1 + 0.2, -0.0, 0.0][: weights.size]
     weights.reshape(-1)[: len(special)] = special
     return SuggestionTensor(labels, weights, C)
 
 
-@pytest.mark.parametrize("M, n", [(1, 1), (3, 7)])
-def test_save_suggestions_equals_reference_writer(tmp_path, M, n):
-    sug = hand_built_suggestions(M, n)
+@pytest.mark.parametrize(
+    "M, n, C",
+    [
+        pytest.param(1, 1, 4, id="1-1"),
+        pytest.param(3, 7, 4, id="3-7"),
+        pytest.param(2, 40, 16, id="2-40-16"),
+    ],
+)
+def test_save_suggestions_equals_reference_writer(tmp_path, M, n, C):
+    sug = hand_built_suggestions(M, n, C)
     assert repr(0.1 + 0.2) == "0.30000000000000004"
     save_suggestions(str(tmp_path / "new.txt"), sug)
     save_suggestions_reference(str(tmp_path / "ref.txt"), sug)
@@ -265,6 +279,37 @@ def test_save_suggestions_equals_reference_writer(tmp_path, M, n):
     assert got == (tmp_path / "ref.txt").read_bytes()
     assert len(got.splitlines()) == 5 + 2 * M * M * n
     assert b" -1 " in got
+    if n > 1:
+        assert b" -0.0\n" in got and b" 0.0\n" in got
+
+
+def test_save_suggestions_without_samples(tmp_path):
+    empty = np.zeros((2, 2, 0, 2))
+    sug = SuggestionTensor(empty.astype(np.int64), empty, 3)
+    save_suggestions(str(tmp_path / "new.txt"), sug)
+    save_suggestions_reference(str(tmp_path / "ref.txt"), sug)
+    assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+
+def test_two_epoch_dump_equals_reference_writer_and_layout(monkeypatch, tmp_path):
+    feats, noisy, clean = noisy_blobs(seed=11, per_class=40, C=4)
+    cfg = small_cfg(seed=11, dump_suggestions=True)
+    run_correction(cfg, features=feats, labels=noisy, output_dir=str(tmp_path / "new"))
+    # the parent path: C-ordered Z, CG iterates laid out like b, and the
+    # per-element writer
+    solve = pipeline.solve_propagation
+    monkeypatch.setattr(
+        pipeline, "solve_propagation", lambda W, Y, c: np.ascontiguousarray(solve(W, Y, c))
+    )
+    monkeypatch.setattr(propagate, "_cg", cg_reference)
+    monkeypatch.setattr(pipeline, "save_suggestions", save_suggestions_reference)
+    run_correction(cfg, features=feats, labels=noisy, output_dir=str(tmp_path / "ref"))
+    new, ref = (
+        {str(f.relative_to(root)): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+        for root in (tmp_path / "new", tmp_path / "ref")
+    )
+    assert "epoch_2/suggestions.txt" in new
+    assert new == ref
 
 
 def test_run_config_echo(tmp_path):
@@ -673,6 +718,25 @@ def test_cli_bad_magic_exit_code(tmp_path):
         ]
     )
     assert proc.returncode == 10
+
+
+def test_cli_truncated_features_exit_code(tmp_path):
+    feats = tmp_path / "f.bin"
+    save_features(str(feats), FeatureMatrix(np.ones((3, 2), dtype=np.float32)))
+    feats.write_bytes(feats.read_bytes()[:-3])
+    labels = tmp_path / "l.csv"
+    labels.write_text("0\n1\n1\n")
+    proc = run_cli(
+        [
+            "correct",
+            "--features", str(feats),
+            "--labels", str(labels),
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert proc.returncode == 10, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "payload" in proc.stderr
 
 
 def test_cli_invalid_labels_exit_code(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmend import propagate
+from graphmend import accel, propagate
 from graphmend.core import FeatureMatrix, LabelState, SolverError, ValidationError
 from graphmend.graph import GraphConfig, build_adjacency, normalize_graph
 from graphmend.propagate import (
@@ -14,12 +14,26 @@ from graphmend.propagate import (
     SuggestionTensor,
     build_partial_labels,
     certainty_weights,
-    diffusion_oracle,
     solve_propagation,
     suggest_labels,
 )
 from graphmend.splitter import SplitConfig, split_dataset
 from test_graph import graph_from_dense
+
+
+def diffusion_oracle(W, Y, alpha, iters):
+    """Fixed-point iteration z <- alpha*W z + y on scipy's sparse matvec.
+
+    Converges to the same fixed point the solver targets; kept free of
+    any shared solver code so the two routes stay independent checks.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    S = W.tocsr()
+    flat = Y.reshape(W.n, -1)
+    z = flat.copy()
+    for _ in range(iters):
+        z = alpha * (S @ z) + flat
+    return z.reshape(Y.shape)
 
 
 def random_normalized_graph(seed, n):
@@ -248,6 +262,104 @@ def test_dedup_signed_zero_columns_are_distinct(knn_graph):
     assert cols.tolist() == [0, 1] and slot.tolist() == [0, 1, 0, 1]
     assert_bits_equal(solve_propagation(knn_graph, Y, cfg),
                       solve_propagation_reference(knn_graph, Y, cfg))
+
+
+def cg_reference(W, b, cfg):
+    """The CG loop before its iterate x took resid's C order; x was
+    allocated like b (F-ordered)."""
+    matvec = accel.make_csr_matvec(W.indptr, W.indices, W.data)
+    alpha = cfg.alpha_prop
+    x = np.zeros_like(b)
+    resid = b.copy()
+    p = resid.copy()
+    rs = np.einsum("ij,ij->j", resid, resid)
+    goal = (cfg.cg_tolerance * np.linalg.norm(b, axis=0)) ** 2
+    for _ in range(cfg.cg_max_iters):
+        active = rs > goal
+        if not active.any():
+            break
+        q = p - alpha * matvec(p)
+        pq = np.einsum("ij,ij->j", p, q)
+        usable = active & (pq > 0)
+        step = np.where(usable, rs / np.where(pq > 0, pq, 1.0), 0.0)
+        x += step * p
+        resid -= step * q
+        rs_new = np.einsum("ij,ij->j", resid, resid)
+        beta = np.where(usable, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
+        p = resid + beta * p
+        rs = rs_new
+    return x
+
+
+@pytest.mark.parametrize("width", [2, 4, 16])
+def test_cg_equals_reference(knn_graph, width):
+    rng = np.random.default_rng(16 + width)
+    n = knn_graph.n
+    Y = np.zeros((n, width))
+    Y[np.arange(n), rng.integers(width, size=n)] = 1.0
+    Y[rng.uniform(size=n) < 0.3] = 0.0
+    # the pipeline's F-ordered fancy-index slice, and a C-ordered block
+    for b in (Y[:, np.arange(width)], np.ascontiguousarray(Y)):
+        for cfg in (PropagationConfig(), PropagationConfig(alpha_prop=0.85)):
+            assert_bits_equal(propagate._cg(knn_graph, b, cfg), cg_reference(knn_graph, b, cfg))
+
+
+def test_solve_returns_contiguous_class_planes(knn_graph):
+    n, C = knn_graph.n, 5
+    Y = np.zeros((n, C, 2))
+    Y[np.arange(n), np.arange(n) % C, :] = 1.0
+    Z = solve_propagation(knn_graph, Y, PropagationConfig())
+    # class-major: each (class, plane) run of n values is contiguous, so
+    # scoring's reductions over the class axis walk memory in order
+    assert Z.shape == (n, C, 2)
+    assert Z.strides == (8, 16 * n, 8 * n)
+    assert Z[:, 3, 1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("C", [9, 16])
+def test_solve_keeps_2d_z_c_ordered(knn_graph, C):
+    n = knn_graph.n
+    rng = np.random.default_rng(40 + C)
+    Y = np.zeros((n, C))
+    Y[np.arange(n), rng.integers(C, size=n)] = 1.0
+    cfg = PropagationConfig()
+    Z = solve_propagation(knn_graph, Y, cfg)
+    # a 2-D Z stays C-ordered: certainty_weights sums each row of K >= 8
+    # classes pairwise there, and in another order on an F-ordered array
+    assert Z.flags.c_contiguous
+    ref = solve_propagation_reference(knn_graph, Y, cfg)
+    assert_bits_equal(Z, ref)
+    assert_bits_equal(certainty_weights(Z), certainty_weights(ref))
+
+
+def scoring_rows(rng, C):
+    """Random (n, C, 2) scores plus rows with ties, all zeros, -0.0,
+    negative mass and constant values."""
+    Z = rng.uniform(-0.05, 1.0, (64, C, 2))
+    Z[0] = 0.0
+    Z[1] = -0.0
+    Z[2] = 0.25
+    Z[3] = -0.5
+    Z[4, :, 0] = np.where(np.arange(C) % 2 == 0, 0.0, -0.0)
+    Z[5, :2] = 0.7  # a tie for the top class
+    Z[6] = -rng.uniform(0.0, 1.0, (C, 2))
+    Z[7, -1] = 1e-300
+    Z[8] = rng.integers(0, 3, (C, 2)) / 3.0  # many ties
+    return Z
+
+
+@pytest.mark.parametrize("C", [2, 3, 4, 9, 16, 32])
+def test_scoring_class_major_equals_c_ordered(C):
+    rng = np.random.default_rng(C)
+    ordered = scoring_rows(rng, C)
+    n = ordered.shape[0]
+    # the layout solve_propagation returns
+    class_major = np.zeros((2 * C, n)).T
+    class_major[:] = ordered.reshape(n, -1)
+    class_major = class_major.reshape(ordered.shape)
+    assert class_major.strides == (8, 16 * n, 8 * n)
+    assert np.array_equal(suggest_labels(class_major), suggest_labels(ordered))
+    assert_bits_equal(certainty_weights(class_major), certainty_weights(ordered))
 
 
 def test_diffusion_zero_iters_is_identity():
