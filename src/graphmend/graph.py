@@ -21,11 +21,12 @@ ties to the lower index exactly as on the whole row.  Narrower blocks
 argpartition kernel.
 
 Edge weights are clamp(cosine, 0, 1) ** gamma so fractional gamma stays
-real even when raw cosine goes negative.  scipy.sparse builds the CSR
-arrays: A from its unique (source, target) pairs, each row in ascending
-target order, and S = A + A^T, where a reciprocal pair merges with one
-commutative addition and entries that sum to zero are dropped.
-Normalization computes D = diag(row sums of S), W = D^-1/2 S D^-1/2.
+real even when raw cosine goes negative.  Both graphs are
+scipy.sparse.csr_matrix: A from its unique (source, target) pairs, each
+row in ascending target order, and S = A + A^T, where a reciprocal pair
+merges with one commutative addition and entries that sum to zero are
+dropped.  Normalization computes D = diag(row sums of S) and scales S's
+entries in place into W = D^-1/2 S D^-1/2; A is never modified.
 np.bincount over S's rows gives the degrees, adding each row from +0.0
 in ascending column order, so dropped zeros change no sum;
 S.sum(axis=1) adds in another order and gives other bits.  The
@@ -50,30 +51,6 @@ class GraphConfig:
             raise ValidationError("gamma must be >= 1")
         self.k_graph = int(k_graph)
         self.gamma = float(gamma)
-
-
-class SparseGraph:
-    """CSR adjacency; `normalized` marks the symmetric normalized form."""
-
-    def __init__(self, n, indptr, indices, data, normalized=False):
-        self.n = int(n)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
-        self.normalized = bool(normalized)
-
-    @property
-    def nnz(self):
-        return self.data.shape[0]
-
-    def tocsr(self):
-        """scipy view of the graph; it shares this record's arrays."""
-        return scipy.sparse.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.n, self.n)
-        )
-
-    def toarray(self):
-        return self.tocsr().toarray()
 
 
 def _normalized_features(features):
@@ -176,24 +153,24 @@ def knn_neighbors(features, k_graph, block=512):
 
 
 def build_adjacency(features, cfg):
-    """Directional adjacency: A(s, t) = clamp(cos, 0, 1)^gamma for each
-    target t and source s among its k_graph nearest neighbours."""
+    """Directional adjacency as an (n, n) scipy CSR matrix:
+    A(s, t) = clamp(cos, 0, 1)^gamma for each target t and source s among
+    its k_graph nearest neighbours."""
     n = features.n_samples
     neighbors, sims = knn_neighbors(features, cfg.k_graph)
     weights = np.clip(sims, 0.0, 1.0) ** cfg.gamma
     # entry (s, t): source row s = neighbour of target t
     targets = np.repeat(np.arange(n), cfg.k_graph)
-    A = scipy.sparse.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (weights.ravel(), (neighbors.ravel(), targets)), shape=(n, n)
     )
-    return SparseGraph(n, A.indptr, A.indices, A.data, normalized=False)
 
 
 def normalize_graph(A):
-    """Symmetric normalization W = D^-1/2 (A + A^T) D^-1/2."""
-    n = A.n
-    a = A.tocsr()
-    S = a + a.T
+    """Symmetric normalization W = D^-1/2 (A + A^T) D^-1/2 of an (n, n)
+    float CSR matrix A, as a new CSR matrix; A is left unchanged."""
+    n = A.shape[0]
+    S = A + A.T
     rows = np.repeat(np.arange(n), np.diff(S.indptr))
     degree = np.bincount(rows, weights=S.data, minlength=n)
     inv_sqrt = np.zeros(n)
@@ -201,5 +178,5 @@ def normalize_graph(A):
     inv_sqrt[alive] = 1.0 / np.sqrt(degree[alive])
     # multiply the two scale factors together first; the product is the
     # same for (s, t) and (t, s), keeping W exactly symmetric
-    data = S.data * (inv_sqrt[rows] * inv_sqrt[S.indices])
-    return SparseGraph(n, S.indptr, S.indices, data, normalized=True)
+    S.data *= inv_sqrt[rows] * inv_sqrt[S.indices]
+    return S

@@ -216,8 +216,12 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
         C = max(C, int(np.asarray(clean).max()) + 1)
     M = cfg.split.n_branches
     n = labels.shape[0]
+    if C < 2:
+        raise ValidationError("labels hold %d class; correction needs at least 2" % C)
     if not cfg.graph.k_graph < n:
         raise ValidationError("k_graph must be smaller than the sample count")
+    if M > n:
+        raise ValidationError("n_branches %d exceeds the sample count %d" % (M, n))
 
     state = LabelState(labels, labels.copy(), np.ones(n), C)
     dim = features.dim
@@ -364,6 +368,14 @@ def _parse_finite(text):
     return value
 
 
+def int64(text):
+    """int(text), limited to int64 as label values are."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError("%s lies outside int64" % text.strip())
+    return value
+
+
 def _parse_bool(text):
     if text.lower() not in ("true", "false"):
         raise ValueError(text)
@@ -372,7 +384,7 @@ def _parse_bool(text):
 
 def _parse_int_item(item):
     try:
-        return int(item)
+        return int64(item)
     except ValueError:
         raise ValueError("bad item %r" % item.strip())
 
@@ -392,7 +404,7 @@ def _parse_mapping(text):
     return mapping
 
 
-PARSERS = {int: int, float: _parse_finite, bool: _parse_bool}
+PARSERS = {int: int64, float: _parse_finite, bool: _parse_bool}
 
 
 def _parse_option(flag, text, parse):
@@ -576,23 +588,23 @@ def make_parser():
     p = sub.add_parser("synth", help="generate a noisy blob dataset")
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=500)
-    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--classes", type=int64, default=4)
+    p.add_argument("--per-class", type=int64, default=500)
+    p.add_argument("--dim", type=int64, default=16)
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--noise-rate", type=float, default=0.3)
     p.add_argument("--noise-kind", choices=["uniform", "confusing", "asymmetric", "none"],
                    default="confusing")
     p.add_argument("--mapping", help="asymmetric arrows, e.g. 0:1,1:0")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int64, default=0)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("split", help="write one package split")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--branches", type=int, default=5)
-    p.add_argument("--packages", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--branches", type=int64, default=5)
+    p.add_argument("--packages", type=int64, default=4)
+    p.add_argument("--seed", type=int64, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
@@ -601,7 +613,7 @@ def make_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int64)
     p.add_argument("--no-resplit", action="store_true")
     p.add_argument("--dump-suggestions", action="store_true")
     p.add_argument("--early-stop", action="store_true")
@@ -612,7 +624,7 @@ def make_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int64)
     p.add_argument("--sweep-m", required=True)
     p.add_argument("--sweep-b", required=True)
     p.add_argument("--no-resplit", action="store_true")

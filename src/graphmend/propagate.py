@@ -4,9 +4,12 @@ For every (graph m, label set j) pair the solver computes
 Z = (I - alpha*W)^-1 Y by conjugate gradient, one linear system per
 distinct class column.  A column that is a bit-for-bit copy of another
 is solved once and copied; at epoch 1 the current labels equal the
-original ones, so plane 1 repeats plane 0.  The system is symmetric
-positive definite because the normalized W has spectral radius at most
-1 and alpha < 1.
+original ones, so plane 1 repeats plane 0.  W is the scipy CSR matrix
+graph.normalize_graph returns; its spectral radius is at most 1, so
+with alpha < 1 the system is symmetric positive definite.  Nothing
+checks that W is normalized: another W gives its own system's solution
+where CG converges and SolverError where it does not, as for
+graph.build_adjacency's un-normalized output.
 
 For an (n, C, 2) Y, Z comes back class-major: a view whose strides are
 (8, 16n, 8n), so each class plane is one contiguous run of n values.
@@ -79,8 +82,10 @@ def build_partial_labels(assignment, j, state):
 def solve_propagation(W, Y, cfg):
     """Solve (I - alpha*W) Z = Y column by column with conjugate gradient.
 
-    All-zero columns are returned as all-zero without touching the
-    solver, and columns with identical bytes are solved once and copied.
+    W is an (n, n) scipy CSR matrix, normally normalize_graph's output
+    (see the module docstring for any other W).  All-zero columns are
+    returned as all-zero without touching the solver, and columns with
+    identical bytes are solved once and copied.
     Raises ValidationError when Y's rows do not match the graph's nodes
     or Y holds nan or inf, and SolverError with the worst residual if
     any column misses cg_tolerance * ||y|| within cg_max_iters
@@ -88,10 +93,8 @@ def solve_propagation(W, Y, cfg):
     is a class-major view, for a 2-D Y a C-ordered array (see the
     module docstring).
     """
-    if not W.normalized:
-        raise ValidationError("propagation needs a normalized graph")
     Y = np.asarray(Y, dtype=np.float64)
-    n = W.n
+    n = W.shape[0]
     if Y.ndim == 0 or Y.shape[0] != n:
         raise ValidationError(
             "label block of shape %s does not match a graph of %d nodes" % (Y.shape, n)

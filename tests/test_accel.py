@@ -92,7 +92,7 @@ def test_matvec_exact_on_normalized_knn_graph(r):
     feats, _, _ = make_noisy_dataset(SynthConfig(
         n_classes=3, per_class=60, dim=8, noise_rate=0.2, rng_seed=5))
     W = normalize_graph(build_adjacency(feats, GraphConfig(k_graph=7, gamma=3.0)))
-    assert_matvec_exact(W.indptr, W.indices, W.data, rng.standard_normal((W.n, r)))
+    assert_matvec_exact(W.indptr, W.indices, W.data, rng.standard_normal((W.shape[0], r)))
 
 
 def test_matvec_exact_with_empty_rows():

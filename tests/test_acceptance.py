@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from graphmend.branches import (
     TrainConfig,
@@ -28,7 +29,7 @@ from graphmend.branches import (
 )
 from graphmend.core import FeatureMatrix
 from graphmend.correct import decide_all
-from graphmend.graph import GraphConfig, SparseGraph, build_adjacency, normalize_graph
+from graphmend.graph import GraphConfig, build_adjacency, normalize_graph
 from graphmend.pipeline import PipelineConfig, run_correction
 from graphmend.propagate import (
     NO_SUGGESTION,
@@ -84,12 +85,8 @@ def test_a01_cg_solution_matches_independent_diffusion():
 
 
 def test_a02_two_node_closed_form():
-    W = SparseGraph(
-        2,
-        np.array([0, 1, 2]),
-        np.array([1, 0]),
-        np.array([1.0, 1.0]),
-        normalized=True,
+    W = scipy.sparse.csr_matrix(
+        (np.array([1.0, 1.0]), np.array([1, 0]), np.array([0, 1, 2])), shape=(2, 2)
     )
     Y = np.zeros((2, 1, 1))
     Y[0, 0, 0] = 1.0

@@ -7,13 +7,7 @@ import scipy.sparse
 from graphmend import graph
 from graphmend.branches import TrainConfig
 from graphmend.core import FeatureMatrix, ValidationError
-from graphmend.graph import (
-    GraphConfig,
-    SparseGraph,
-    build_adjacency,
-    knn_neighbors,
-    normalize_graph,
-)
+from graphmend.graph import GraphConfig, build_adjacency, knn_neighbors, normalize_graph
 from graphmend.pipeline import PipelineConfig, run_correction
 from graphmend.propagate import PropagationConfig, solve_propagation
 from graphmend.splitter import SplitConfig
@@ -357,24 +351,15 @@ def test_adjacency_column_count():
     assert np.trace(dense) == 0.0
 
 
-def graph_from_dense(dense, normalized=False):
-    """SparseGraph holding the nonzero entries of a dense matrix."""
-    csr = scipy.sparse.csr_matrix(np.asarray(dense, dtype=np.float64))
-    return SparseGraph(
-        csr.shape[0], csr.indptr, csr.indices, csr.data, normalized=normalized
-    )
-
-
 def test_normalize_two_node_swap():
-    W = normalize_graph(graph_from_dense([[0.0, 1.0], [1.0, 0.0]]))
-    assert W.normalized
+    W = normalize_graph(scipy.sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
     # S = [[0,2],[2,0]], degrees (2,2), W = [[0,1],[1,0]]
     assert np.allclose(W.toarray(), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
 
 def test_normalize_three_cycle():
     dense = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
-    W = normalize_graph(graph_from_dense(dense))
+    W = normalize_graph(scipy.sparse.csr_matrix(dense))
     # symmetrized cycle: every node has two unit edges, degree 2,
     # so each normalized weight is 1/2
     want = np.array([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
@@ -386,8 +371,8 @@ def test_normalize_scale_invariance():
     dense = rng.uniform(0, 1, (8, 8))
     np.fill_diagonal(dense, 0.0)
     dense[dense < 0.5] = 0.0
-    a = normalize_graph(graph_from_dense(dense)).toarray()
-    b = normalize_graph(graph_from_dense(dense * 7.5)).toarray()
+    a = normalize_graph(scipy.sparse.csr_matrix(dense)).toarray()
+    b = normalize_graph(scipy.sparse.csr_matrix(dense * 7.5)).toarray()
     assert np.allclose(a, b, atol=1e-14)
 
 
@@ -396,13 +381,13 @@ def test_normalize_exact_bitwise_symmetry():
     dense = rng.uniform(0, 1, (30, 30))
     np.fill_diagonal(dense, 0.0)
     dense[dense < 0.6] = 0.0
-    W = normalize_graph(graph_from_dense(dense)).toarray()
+    W = normalize_graph(scipy.sparse.csr_matrix(dense)).toarray()
     assert np.array_equal(W, W.T)
 
 
 def test_normalize_isolated_node_row_stays_zero():
     dense = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-    W = normalize_graph(graph_from_dense(dense))
+    W = normalize_graph(scipy.sparse.csr_matrix(dense))
     full = W.toarray()
     assert np.allclose(full[2], 0.0)
     assert np.allclose(full[:, 2], 0.0)
@@ -412,7 +397,7 @@ def test_normalize_isolated_node_row_stays_zero():
 def test_normalize_merges_reciprocal_edges():
     # A has both (0,1)=3 and (1,0)=5; S merges to 8 on each side
     dense = np.array([[0, 3.0], [5.0, 0]])
-    W = normalize_graph(graph_from_dense(dense))
+    W = normalize_graph(scipy.sparse.csr_matrix(dense))
     assert W.nnz == 2
     assert np.allclose(W.toarray(), [[0, 1], [1, 0]], atol=1e-15)
 
@@ -447,7 +432,7 @@ def test_normalize_against_dense_oracle():
     deg = S.sum(axis=1)
     inv = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     want = inv[:, None] * S * inv[None, :]
-    got = normalize_graph(graph_from_dense(dense)).toarray()
+    got = normalize_graph(scipy.sparse.csr_matrix(dense)).toarray()
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -464,13 +449,13 @@ def build_adjacency_reference(features, cfg):
     rows, cols, data = rows[order], cols[order], data[order]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseGraph(n, indptr, cols, data, normalized=False)
+    return scipy.sparse.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 def normalize_graph_reference(A):
     """The lexsort/reduceat normalization that normalize_graph replaced,
     kept as the bit-exact reference for it."""
-    n = A.n
+    n = A.shape[0]
     rows_a = np.repeat(np.arange(n), np.diff(A.indptr))
     cols_a = A.indices
     rows = np.concatenate([rows_a, cols_a])
@@ -492,25 +477,29 @@ def normalize_graph_reference(A):
     data = data * (inv_sqrt[rows] * inv_sqrt[cols])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return SparseGraph(n, indptr, cols, data, normalized=True)
+    return scipy.sparse.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
 def assert_normalized_equals_reference(A, A_ref):
     """W from A equals the reference W from A_ref bit for bit, except that
     the reference keeps explicit zeros, and CG on both gives the same
-    bits."""
+    bits.  W is a new CSR matrix: A's arrays keep their bits."""
+    before = [x.copy() for x in (A.indptr, A.indices, A.data)]
     W = normalize_graph(A)
     want = normalize_graph_reference(A_ref)
-    assert W.normalized
+    assert isinstance(W, scipy.sparse.csr_matrix)
+    for got, kept in zip((A.indptr, A.indices, A.data), before):
+        assert np.array_equal(got.view(np.uint8), kept.view(np.uint8))
     dense = W.toarray()
     assert np.array_equal(dense.view(np.uint64), want.toarray().view(np.uint64))
-    nonzero = want.tocsr().copy()
+    nonzero = want.copy()
     nonzero.eliminate_zeros()
     assert np.array_equal(W.indptr, nonzero.indptr)
     assert np.array_equal(W.indices, nonzero.indices)
     assert np.array_equal(W.data.view(np.uint64), nonzero.data.view(np.uint64))
-    Y = np.zeros((A.n, 3, 2))
-    Y[np.arange(A.n), np.arange(A.n) % 3, np.arange(A.n) % 2] = 1.0
+    n = A.shape[0]
+    Y = np.zeros((n, 3, 2))
+    Y[np.arange(n), np.arange(n) % 3, np.arange(n) % 2] = 1.0
     cfg = PropagationConfig(alpha_prop=0.9)
     got = solve_propagation(W, Y, cfg)
     assert np.array_equal(got.view(np.uint64), solve_propagation(want, Y, cfg).view(np.uint64))
@@ -521,6 +510,7 @@ def assert_graph_equals_reference(feats, k_graph):
     cfg = GraphConfig(k_graph=k_graph, gamma=3.0)
     A = build_adjacency(feats, cfg)
     A_ref = build_adjacency_reference(feats, cfg)
+    assert isinstance(A, scipy.sparse.csr_matrix)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, name), getattr(A_ref, name))
     assert np.array_equal(np.signbit(A.data), np.signbit(A_ref.data))
@@ -555,15 +545,17 @@ def test_normalize_equals_reference_on_reciprocal_edges():
     np.fill_diagonal(dense, 0.0)
     dense[dense < 0.7] = 0.0
     dense[:20, :20] = np.triu(dense[:20, :20]) + np.triu(dense[:20, :20]).T * 0.3
-    A = graph_from_dense(dense)
+    A = scipy.sparse.csr_matrix(dense)
     assert_normalized_equals_reference(A, A)
 
 
 def test_normalize_equals_reference_with_isolated_node():
     # a 3-cycle, a reciprocal pair 3 <-> 4, and node 5, whose only entry
     # (4 -> 5) is an explicit zero
-    A = SparseGraph(6, [0, 1, 2, 3, 4, 6, 6], [1, 2, 0, 4, 3, 5],
-                    [0.5, 0.5, 0.5, 0.25, 0.75, 0.0])
+    A = scipy.sparse.csr_matrix(
+        ([0.5, 0.5, 0.5, 0.25, 0.75, 0.0], [1, 2, 0, 4, 3, 5], [0, 1, 2, 3, 4, 6, 6]),
+        shape=(6, 6),
+    )
     W, want = assert_normalized_equals_reference(A, A)
     assert W.nnz == want.nnz - 2
     dense = W.toarray()

@@ -13,6 +13,7 @@ import pytest
 from graphmend import pipeline, propagate
 from graphmend.core import (
     FeatureMatrix,
+    GraphmendError,
     ValidationError,
     load_features,
     load_label_columns,
@@ -341,6 +342,28 @@ def test_run_requires_small_k_graph():
         run_correction(cfg, features=feats, labels=labels)
 
 
+def fail_on_call(*args, **kwargs):
+    raise AssertionError("the run went past its input checks")
+
+
+@pytest.mark.parametrize(
+    "labels, M, match",
+    [
+        (np.zeros(10, dtype=np.int64), 3, "labels hold 1 class; correction needs at least 2"),
+        (np.repeat([0, 1], 5), 11, "n_branches 11 exceeds the sample count 10"),
+    ],
+    ids=["single-class", "branches-above-samples"],
+)
+def test_run_rejects_bad_inputs_before_any_model(monkeypatch, labels, M, match):
+    monkeypatch.setattr(pipeline, "init_model", fail_on_call)
+    monkeypatch.setattr(pipeline, "train_epoch", fail_on_call)
+    feats = FeatureMatrix(np.random.default_rng(0).standard_normal((10, 3)))
+    cfg = small_cfg(M=M)
+    cfg.graph = GraphConfig(k_graph=3)
+    with pytest.raises(ValidationError, match=match):
+        run_correction(cfg, features=feats, labels=labels)
+
+
 def test_run_rejects_missing_inputs():
     with pytest.raises(ValidationError):
         run_correction(small_cfg())
@@ -429,6 +452,50 @@ def test_parse_config_file_missing_equals(tmp_path):
     path.write_text("k_graph 12\n")
     with pytest.raises(ValidationError, match="row 1"):
         parse_config_file(str(path))
+
+
+def test_int64_parser_bounds():
+    assert pipeline.int64(" %d " % (2**63 - 1)) == 2**63 - 1
+    assert pipeline.int64("%d" % -2**63) == -2**63
+    for text in ("%d" % 2**63, "%d" % (-2**63 - 1), "1" + "0" * 20):
+        with pytest.raises(ValueError, match="outside int64"):
+            pipeline.int64(text)
+
+
+@pytest.mark.parametrize("key", ["hidden_width", "pair_sample_count", "n_branches"])
+def test_config_int_beyond_int64_names_row(tmp_path, key):
+    section = CONFIG_KEYS[key][0]
+    path = tmp_path / "run.cfg"
+    path.write_text("k_graph = 6\n%s = %d\n" % (key, 2**63 - 1))
+    cfg = build_config(parse_config_file(str(path)))
+    assert getattr(getattr(cfg, section), key) == 2**63 - 1
+    path.write_text("k_graph = 6\n%s = %d\n" % (key, 10**20))
+    with pytest.raises(ValidationError, match=r"%s.*\(row 2\)" % key):
+        parse_config_file(str(path))
+
+
+def config_variants(blob):
+    """Every proper prefix of `blob`, then `blob` with each byte replaced
+    by 0x00, 0xff, '=', '#' and a newline."""
+    prefixes = [blob[:size] for size in range(len(blob))]
+    replaced = [
+        blob[:at] + value + blob[at + 1:]
+        for at in range(len(blob))
+        for value in (b"\x00", b"\xff", b"=", b"#", b"\n")
+    ]
+    return prefixes + replaced
+
+
+def test_config_file_truncated_or_replaced_raise_only_package_errors(tmp_path):
+    path = tmp_path / "run.cfg"
+    cut = tmp_path / "cut.cfg"
+    _write_run_config(str(path), small_cfg(seed=3))
+    for variant in config_variants(path.read_bytes()):
+        cut.write_bytes(variant)
+        try:
+            build_config(parse_config_file(str(cut)))
+        except GraphmendError:
+            pass
 
 
 def test_build_config_defaults():
@@ -805,8 +872,13 @@ def test_cli_diverging_run_exit_code(cli_dataset, tmp_path):
         (b"cg_tolerance = inf\n", 1),
         (b"gamma = nan\n", 1),
         (b"k_graph = 6\n# caf\xe9\n", 2),
+        (b"k_graph = 6\nhidden_width = 100000000000000000000\n", 2),
+        (b"pair_sample_count = 100000000000000000000\n", 1),
     ],
-    ids=["cg_tolerance-nan", "cg_tolerance-inf", "gamma-nan", "not-utf8"],
+    ids=[
+        "cg_tolerance-nan", "cg_tolerance-inf", "gamma-nan", "not-utf8",
+        "hidden_width-beyond-int64", "pair_sample_count-beyond-int64",
+    ],
 )
 def test_cli_bad_config_exit_code(cli_dataset, tmp_path, content, row):
     root, feats, labels, _ = cli_dataset
@@ -832,8 +904,13 @@ def test_cli_bad_config_exit_code(cli_dataset, tmp_path, content, row):
         (["sweep", "--sweep-m", "1", "--sweep-b", "2.5"], "'2.5'"),
         (["synth", "--noise-kind", "asymmetric", "--mapping", "0-1"], "'0-1'"),
         (["synth", "--noise-kind", "asymmetric", "--mapping", "0:1,1:b"], "'b'"),
+        (["sweep", "--sweep-m", "1,%d" % 10**20, "--sweep-b", "1"], "'%d'" % 10**20),
+        (["sweep", "--sweep-m", "1", "--sweep-b", "%d" % 10**20], "'%d'" % 10**20),
     ],
-    ids=["sweep-m", "sweep-b", "mapping-no-colon", "mapping-bad-target"],
+    ids=[
+        "sweep-m", "sweep-b", "mapping-no-colon", "mapping-bad-target",
+        "sweep-m-beyond-int64", "sweep-b-beyond-int64",
+    ],
 )
 def test_cli_bad_list_exit_code(cli_dataset, tmp_path, args, item):
     root, feats, labels, _ = cli_dataset
@@ -937,6 +1014,60 @@ def test_cli_negative_seed_exit_code(cli_dataset, tmp_path, command, seed):
     assert "Traceback" not in proc.stderr
     assert "seed must be >= 0" in proc.stderr
     assert not os.path.exists(out) and not (tmp_path / "l.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        SYNTH_SMALL + ["--per-class", "%d" % 10**20],
+        SYNTH_SMALL + ["--dim", "%d" % 10**20],
+        SYNTH_SMALL + ["--classes", "%d" % 10**20],
+        ["split", "--branches", "%d" % 10**20],
+    ],
+    ids=["synth-per-class", "synth-dim", "synth-classes", "split-branches"],
+)
+def test_cli_int_flag_beyond_int64_exit_code(cli_dataset, tmp_path, args):
+    root, feats, labels, _ = cli_dataset
+    if args[0] == "split":
+        args = args + ["--features", str(feats), "--labels", str(labels)]
+        args += ["--out", str(tmp_path / "split.txt")]
+    else:
+        args = args + ["--out-features", str(tmp_path / "f.bin")]
+        args += ["--out-labels", str(tmp_path / "l.csv")]
+    proc = run_cli(args)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "invalid int64 value: '%d'" % 10**20 in proc.stderr
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        ("single-class", "labels hold 1 class"),
+        ("config", "n_branches %d exceeds the sample count 120" % 10**18),
+        ("sweep-m", "n_branches %d exceeds the sample count 120" % 10**18),
+    ],
+)
+def test_cli_rejects_run_before_training(cli_dataset, tmp_path, case, named):
+    root, feats, labels, _ = cli_dataset
+    out = tmp_path / "out"
+    if case == "single-class":
+        labels = tmp_path / "zeros.csv"
+        labels.write_text("0\n" * 120)
+    inputs = ["--features", str(feats), "--labels", str(labels), "--out", str(out)]
+    if case == "sweep-m":
+        args = ["sweep", *inputs, "--sweep-m", "%d" % 10**18, "--sweep-b", "1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        branches = 10**18 if case == "config" else 3
+        cfg.write_text("k_graph = 6\nn_branches = %d\n" % branches)
+        args = ["correct", *inputs, "--config", str(cfg)]
+    proc = run_cli(args)
+    assert proc.returncode == 11, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert named in proc.stderr
+    assert not out.exists()
 
 
 def readme_command_line_flags():

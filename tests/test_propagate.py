@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,6 @@ from graphmend.propagate import (
     suggest_labels,
 )
 from graphmend.splitter import SplitConfig, split_dataset
-from test_graph import graph_from_dense
 
 
 def diffusion_oracle(W, Y, alpha, iters):
@@ -28,11 +28,10 @@ def diffusion_oracle(W, Y, alpha, iters):
     any shared solver code so the two routes stay independent checks.
     """
     Y = np.asarray(Y, dtype=np.float64)
-    S = W.tocsr()
-    flat = Y.reshape(W.n, -1)
+    flat = Y.reshape(W.shape[0], -1)
     z = flat.copy()
     for _ in range(iters):
-        z = alpha * (S @ z) + flat
+        z = alpha * (W @ z) + flat
     return z.reshape(Y.shape)
 
 
@@ -74,7 +73,7 @@ def test_partial_labels_branch_out_of_range():
 
 
 def test_solve_zero_graph_returns_input():
-    W = graph_from_dense(np.zeros((4, 4)), normalized=True)
+    W = scipy.sparse.csr_matrix(np.zeros((4, 4)))
     Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [2.0, 0.5]])
     Z = solve_propagation(W, Y, PropagationConfig())
     assert np.array_equal(Z, Y)
@@ -82,7 +81,7 @@ def test_solve_zero_graph_returns_input():
 
 def test_solve_two_node_closed_form():
     # (I - 0.5 W)^-1 (1, 0) with W the swap has rows (4/3, 2/3)
-    W = graph_from_dense([[0.0, 1.0], [1.0, 0.0]], normalized=True)
+    W = scipy.sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]])
     Y = np.array([[1.0], [0.0]])
     cfg = PropagationConfig(alpha_prop=0.5, cg_tolerance=1e-12, cg_max_iters=50)
     Z = solve_propagation(W, Y, cfg)
@@ -137,10 +136,16 @@ def test_solve_nonnegative_mass():
         assert Z.min() > -1e-9
 
 
-def test_solve_requires_normalized_graph():
-    A = graph_from_dense([[0.0, 1.0], [1.0, 0.0]], normalized=False)
-    with pytest.raises(ValidationError):
-        solve_propagation(A, np.ones((2, 1)), PropagationConfig())
+def test_solve_on_unnormalized_adjacency_raises_solver_error():
+    # nothing checks that W is normalized; build_adjacency's directional
+    # output has spectral radius far above 1, so CG cannot converge on it
+    rng = np.random.default_rng(120)
+    X = rng.standard_normal((120, 4)).astype(np.float32)
+    A = build_adjacency(FeatureMatrix(X), GraphConfig(k_graph=10, gamma=1.0))
+    Y = np.zeros((120, 3, 2))
+    Y[np.arange(120), np.arange(120) % 3, :] = 1.0
+    with pytest.raises(SolverError, match="after 200 iterations"):
+        solve_propagation(A, Y, PropagationConfig())
 
 
 def test_solver_error_reports_residual():
@@ -172,7 +177,7 @@ def solve_propagation_reference(W, Y, cfg):
     """The solver before duplicate columns were solved once: every live
     column goes to one CG call."""
     Y = np.asarray(Y, dtype=np.float64)
-    n = W.n
+    n = W.shape[0]
     flat = Y.reshape(n, -1)
     Z = np.zeros_like(flat)
     live = np.linalg.norm(flat, axis=0) > 0
@@ -196,7 +201,7 @@ def knn_graph(request):
 
 def test_dedup_identical_planes_equal_reference(knn_graph):
     rng = np.random.default_rng(11)
-    n = knn_graph.n
+    n = knn_graph.shape[0]
     cfg = PropagationConfig()
     for C, share in ((16, 1.0), (4, 0.3), (3, 0.05)):
         # one-hot labels on a share of the rows; plane 1 copies plane 0
@@ -210,7 +215,7 @@ def test_dedup_identical_planes_equal_reference(knn_graph):
 
 def test_dedup_scattered_duplicates_equal_reference(knn_graph):
     rng = np.random.default_rng(12)
-    n = knn_graph.n
+    n = knn_graph.shape[0]
     cfg = PropagationConfig(alpha_prop=0.9)
     base = rng.uniform(0, 1, (n, 4))
     base[rng.uniform(size=(n, 4)) < 0.7] = 0.0
@@ -226,7 +231,7 @@ def test_dedup_scattered_duplicates_equal_reference(knn_graph):
 
 def test_dedup_keeps_width_when_all_live_columns_match(knn_graph):
     rng = np.random.default_rng(13)
-    n = knn_graph.n
+    n = knn_graph.shape[0]
     cfg = PropagationConfig()
     y = np.zeros(n)
     y[rng.uniform(size=n) < 0.4] = 1.0
@@ -241,7 +246,7 @@ def test_dedup_keeps_width_when_all_live_columns_match(knn_graph):
 
 def test_dedup_single_live_column_equal_reference(knn_graph):
     rng = np.random.default_rng(14)
-    n = knn_graph.n
+    n = knn_graph.shape[0]
     cfg = PropagationConfig()
     Y = np.zeros((n, 3, 2))
     Y[rng.uniform(size=n) < 0.5, 2, 0] = 1.0
@@ -251,7 +256,7 @@ def test_dedup_single_live_column_equal_reference(knn_graph):
 
 def test_dedup_signed_zero_columns_are_distinct(knn_graph):
     rng = np.random.default_rng(15)
-    n = knn_graph.n
+    n = knn_graph.shape[0]
     cfg = PropagationConfig()
     y = np.zeros(n)
     y[rng.uniform(size=n) < 0.4] = 1.0
@@ -294,7 +299,7 @@ def cg_reference(W, b, cfg):
 @pytest.mark.parametrize("width", [2, 4, 16])
 def test_cg_equals_reference(knn_graph, width):
     rng = np.random.default_rng(16 + width)
-    n = knn_graph.n
+    n = knn_graph.shape[0]
     Y = np.zeros((n, width))
     Y[np.arange(n), rng.integers(width, size=n)] = 1.0
     Y[rng.uniform(size=n) < 0.3] = 0.0
@@ -305,7 +310,7 @@ def test_cg_equals_reference(knn_graph, width):
 
 
 def test_solve_returns_contiguous_class_planes(knn_graph):
-    n, C = knn_graph.n, 5
+    n, C = knn_graph.shape[0], 5
     Y = np.zeros((n, C, 2))
     Y[np.arange(n), np.arange(n) % C, :] = 1.0
     Z = solve_propagation(knn_graph, Y, PropagationConfig())
@@ -318,7 +323,7 @@ def test_solve_returns_contiguous_class_planes(knn_graph):
 
 @pytest.mark.parametrize("C", [9, 16])
 def test_solve_keeps_2d_z_c_ordered(knn_graph, C):
-    n = knn_graph.n
+    n = knn_graph.shape[0]
     rng = np.random.default_rng(40 + C)
     Y = np.zeros((n, C))
     Y[np.arange(n), rng.integers(C, size=n)] = 1.0
@@ -369,7 +374,7 @@ def test_diffusion_zero_iters_is_identity():
 
 
 def test_diffusion_one_iter_formula():
-    W = graph_from_dense([[0.0, 1.0], [1.0, 0.0]], normalized=True)
+    W = scipy.sparse.csr_matrix([[0.0, 1.0], [1.0, 0.0]])
     Y = np.array([[1.0], [0.0]])
     Z = diffusion_oracle(W, Y, 0.5, 1)
     # z1 = 0.5 * W y + y = (1, 0.5)
