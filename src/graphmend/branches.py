@@ -5,15 +5,20 @@ affine layer doubles as the feature embedding that the graphs are built
 from.  Three losses drive training: confidence-weighted cross entropy on
 corrected labels, complementary-weighted cross entropy on the original
 noisy labels, and a graph smoothness penalty pulling the RBF kernel of
-cross-class softmax outputs toward zero.  All parameters of a model live
-in one flat vector; the layer matrices are reshaped views into it.
+cross-class softmax outputs toward zero.  Training evaluates the last two
+only together with their analytic gradients (grad_noisy and
+pair_prob_grads).  All parameters of a model live in one flat vector;
+the layer matrices are reshaped views into it.
 """
+
+import dataclasses
 
 import numpy as np
 
 from .core import (
     TrainingError,
     ValidationError,
+    cast_fields,
     load_model_vector,
     require_finite,
     save_model_vector,
@@ -22,51 +27,27 @@ from .core import (
 EPS = 1e-12
 
 
+@dataclasses.dataclass
 class TrainConfig:
-    def __init__(
-        self,
-        learning_rate=0.01,
-        momentum=0.9,
-        lr_decay=0.1,
-        lr_decay_every=5,
-        batch_size=64,
-        l2_weight=5e-3,
-        hidden_width=64,
-        alpha_smooth=1.0,
-        pair_sample_count=256,
-    ):
-        values = dict(
-            learning_rate=learning_rate,
-            momentum=momentum,
-            lr_decay=lr_decay,
-            lr_decay_every=lr_decay_every,
-            batch_size=batch_size,
-            l2_weight=l2_weight,
-            hidden_width=hidden_width,
-            alpha_smooth=alpha_smooth,
-            pair_sample_count=pair_sample_count,
-        )
-        require_finite(
-            learning_rate=learning_rate,
-            momentum=momentum,
-            lr_decay=lr_decay,
-            l2_weight=l2_weight,
-            alpha_smooth=alpha_smooth,
-        )
-        for name, v in values.items():
-            if v <= 0 and name != "l2_weight" and name != "momentum":
-                raise ValidationError("%s must be positive" % name)
-        if momentum < 0 or l2_weight < 0:
+    learning_rate: float = 0.01
+    momentum: float = 0.9
+    lr_decay: float = 0.1
+    lr_decay_every: int = 5
+    batch_size: int = 64
+    l2_weight: float = 5e-3
+    hidden_width: int = 64
+    alpha_smooth: float = 1.0
+    pair_sample_count: int = 256
+
+    def __post_init__(self):
+        require_finite(self)
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value <= 0 and field.name != "l2_weight" and field.name != "momentum":
+                raise ValidationError("%s must be positive" % field.name)
+        if self.momentum < 0 or self.l2_weight < 0:
             raise ValidationError("momentum and l2_weight must be nonnegative")
-        self.learning_rate = float(learning_rate)
-        self.momentum = float(momentum)
-        self.lr_decay = float(lr_decay)
-        self.lr_decay_every = int(lr_decay_every)
-        self.batch_size = int(batch_size)
-        self.l2_weight = float(l2_weight)
-        self.hidden_width = int(hidden_width)
-        self.alpha_smooth = float(alpha_smooth)
-        self.pair_sample_count = int(pair_sample_count)
+        cast_fields(self)
 
 
 class BranchModel:
@@ -147,11 +128,6 @@ def _agreement_weights(noisy, corrected, omega_bar):
     return np.where(np.asarray(noisy) == np.asarray(corrected), omega_bar, 1.0 - omega_bar)
 
 
-def loss_noisy(probs, noisy, corrected, omega_bar):
-    """Cross entropy on original labels, weighted by agreement."""
-    return loss_pseudo(probs, noisy, _agreement_weights(noisy, corrected, omega_bar))
-
-
 def _pair_terms(ps, pt, ws, wt, alpha):
     diff = ps - pt
     dist = np.linalg.norm(diff, axis=1)
@@ -161,19 +137,6 @@ def _pair_terms(ps, pt, ws, wt, alpha):
     live = dist > 1e-12
     scale = np.where(live, -alpha * coef / np.where(live, dist, 1.0), 0.0)
     return float(coef.sum()), scale[:, None] * diff
-
-
-def loss_graph_smooth(prob_pairs, alpha_smooth):
-    """RBF smoothness penalty over cross-class sample pairs.
-
-    prob_pairs is an iterable of (p_s, p_t, omega_s, omega_t) tuples with
-    p_* softmax rows from the branch owning each sample.
-    """
-    total = 0.0
-    for ps, pt, ws, wt in prob_pairs:
-        diff = np.asarray(ps, dtype=np.float64) - np.asarray(pt, dtype=np.float64)
-        total += np.sqrt(ws * wt) * np.exp(-alpha_smooth * np.linalg.norm(diff))
-    return float(total)
 
 
 def _softmax_backward(probs, dprobs):
@@ -206,7 +169,8 @@ def grad_pseudo(model, X, corrected, omega_bar):
 
 
 def grad_noisy(model, X, noisy, corrected, omega_bar):
-    """Loss and flat analytic gradient of loss_noisy."""
+    """Loss and flat analytic gradient of the cross entropy on original
+    labels, weighted by agreement."""
     return grad_pseudo(model, X, noisy, _agreement_weights(noisy, corrected, omega_bar))
 
 
@@ -217,15 +181,6 @@ def pair_prob_grads(probs, s_pos, t_pos, ws, wt, alpha):
     np.add.at(dprobs, s_pos, g)
     np.add.at(dprobs, t_pos, -g)
     return loss, dprobs
-
-
-def grad_graph_smooth(model, X, s_idx, t_idx, ws, wt, alpha):
-    """Loss and flat gradient of the smoothness penalty on one model."""
-    X = np.asarray(X, dtype=np.float64)
-    hidden, probs = forward(model, X)
-    loss, dprobs = pair_prob_grads(probs, s_idx, t_idx, ws, wt, alpha)
-    dlogits = _softmax_backward(probs, dprobs)
-    return loss, _backprop(model, X, hidden, dlogits)
 
 
 def sgd_step(model, grad, lr, momentum, l2_weight):

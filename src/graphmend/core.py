@@ -9,6 +9,7 @@ are line-oriented text with a JSON summary block; floats are written
 with repr so parsing restores the exact binary value.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -62,13 +63,21 @@ class ValidationError(GraphmendError):
         self.row = row
 
 
-def require_finite(**values):
-    """Raise ValidationError naming the first keyword whose value is nan
-    or infinite; range checks on such values would pass or fail by
-    accident of the comparison."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError("%s must be finite" % name)
+def require_finite(config):
+    """Raise ValidationError naming the first float field of a config
+    dataclass that is nan or infinite; range checks on such values would
+    pass or fail by accident of the comparison."""
+    for field in dataclasses.fields(config):
+        if field.type is float and not math.isfinite(getattr(config, field.name)):
+            raise ValidationError("%s must be finite" % field.name)
+
+
+def cast_fields(config):
+    """Cast the int, float and bool fields of a config dataclass to their
+    declared types, after its checks have run on the values as given."""
+    for field in dataclasses.fields(config):
+        if field.type in (int, float, bool):
+            setattr(config, field.name, field.type(getattr(config, field.name)))
 
 
 class SolverError(GraphmendError):

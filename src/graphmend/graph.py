@@ -34,23 +34,27 @@ per-entry scale factors are multiplied together first so W is
 symmetric bit for bit, and isolated nodes keep all-zero rows.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import scipy.sparse
 
-from .core import ValidationError, require_finite
+from .core import ValidationError, cast_fields, require_finite
 
 
+@dataclasses.dataclass
 class GraphConfig:
-    def __init__(self, k_graph=50, gamma=3.0):
-        require_finite(gamma=gamma)
-        if k_graph < 1:
+    k_graph: int = 50
+    gamma: float = 3.0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.k_graph < 1:
             raise ValidationError("k_graph must be >= 1")
-        if gamma < 1.0:
+        if self.gamma < 1.0:
             raise ValidationError("gamma must be >= 1")
-        self.k_graph = int(k_graph)
-        self.gamma = float(gamma)
+        cast_fields(self)
 
 
 def _normalized_features(features):

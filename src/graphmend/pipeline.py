@@ -13,6 +13,7 @@ trains all branches from one shared random initialization.
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -37,6 +38,7 @@ from .core import (
     LabelState,
     TrainingError,
     ValidationError,
+    cast_fields,
     check_pairing,
     ensure_dir,
     load_features,
@@ -57,7 +59,7 @@ from .propagate import (
     suggest_labels,
 )
 from .splitter import SplitConfig, mix_parameters, split_dataset
-from .synth import SynthConfig, make_noisy_dataset
+from .synth import NOISE_KINDS, SynthConfig, make_noisy_dataset
 
 # substream tags for the master seed; keeping them distinct means no
 # phase can consume another phase's randomness
@@ -67,65 +69,47 @@ TAG_MIX = 2
 TAG_TRAIN = 3
 
 
+@dataclasses.dataclass
 class PipelineConfig:
-    def __init__(
-        self,
-        split=None,
-        graph=None,
-        prop=None,
-        train=None,
-        outer_epochs=15,
-        resplit_each_epoch=True,
-        seed=0,
-        dump_suggestions=False,
-        early_stop=False,
-    ):
-        self.split = split if split is not None else SplitConfig()
-        self.graph = graph if graph is not None else GraphConfig()
-        self.prop = prop if prop is not None else PropagationConfig()
-        self.train = train if train is not None else TrainConfig()
-        if outer_epochs < 1:
+    split: SplitConfig = dataclasses.field(default_factory=SplitConfig)
+    graph: GraphConfig = dataclasses.field(default_factory=GraphConfig)
+    prop: PropagationConfig = dataclasses.field(default_factory=PropagationConfig)
+    train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
+    outer_epochs: int = 15
+    resplit_each_epoch: bool = True
+    seed: int = 0
+    dump_suggestions: bool = False
+    early_stop: bool = False
+
+    def __post_init__(self):
+        if self.outer_epochs < 1:
             raise ValidationError("outer_epochs must be >= 1")
-        if seed < 0:
+        if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        self.outer_epochs = int(outer_epochs)
-        self.resplit_each_epoch = bool(resplit_each_epoch)
-        self.seed = int(seed)
-        self.dump_suggestions = bool(dump_suggestions)
-        self.early_stop = bool(early_stop)
+        cast_fields(self)
 
-
-# Every config-file key: (section of PipelineConfig holding it, or None
-# for PipelineConfig itself; value kind).  Each key equals the keyword of
-# its section's constructor, which alone holds the default.  The order is
-# the order of run_config.txt and of the README table.
-CONFIG_KEYS = {
-    "n_branches": ("split", int),
-    "packages_per_class_per_branch": ("split", int),
-    "k_graph": ("graph", int),
-    "gamma": ("graph", float),
-    "alpha_prop": ("prop", float),
-    "cg_tolerance": ("prop", float),
-    "cg_max_iters": ("prop", int),
-    "learning_rate": ("train", float),
-    "momentum": ("train", float),
-    "lr_decay": ("train", float),
-    "lr_decay_every": ("train", int),
-    "batch_size": ("train", int),
-    "l2_weight": ("train", float),
-    "hidden_width": ("train", int),
-    "alpha_smooth": ("train", float),
-    "pair_sample_count": ("train", int),
-    "outer_epochs": (None, int),
-    "resplit_each_epoch": (None, bool),
-    "seed": (None, int),
-}
 
 SECTIONS = {
-    "split": SplitConfig,
-    "graph": GraphConfig,
-    "prop": PropagationConfig,
-    "train": TrainConfig,
+    field.name: field.type
+    for field in dataclasses.fields(PipelineConfig)
+    if dataclasses.is_dataclass(field.type)
+}
+
+# Fields that no config-file key sets: SplitConfig's rng_seed, because
+# every split is seeded from `seed` and the epoch number, and the debug
+# switches dump_suggestions and early_stop, which are flags only.
+NOT_CONFIG_KEYS = ("rng_seed", "dump_suggestions", "early_stop")
+
+# Every config-file key: (section of PipelineConfig holding it, or None
+# for PipelineConfig itself; value kind).  Keys, kinds and defaults are
+# the fields of the config dataclasses, read in SECTIONS order and then
+# PipelineConfig's own; that is the order of run_config.txt and of the
+# README table.
+CONFIG_KEYS = {
+    field.name: (section, field.type)
+    for section, cls in (*SECTIONS.items(), (None, PipelineConfig))
+    for field in dataclasses.fields(cls)
+    if field.name not in SECTIONS and field.name not in NOT_CONFIG_KEYS
 }
 
 
@@ -203,6 +187,15 @@ def save_suggestions(path, suggestions):
                 fh.write("".join(map("".join, zip(*columns))))
 
 
+def _check_branch_count(n_branches, n_samples):
+    """More branches than samples leave branches empty, and a huge count
+    exhausts memory in the split; reject it before any work."""
+    if n_branches > n_samples:
+        raise ValidationError(
+            "n_branches %d exceeds the sample count %d" % (n_branches, n_samples)
+        )
+
+
 def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None):
     """Run the full iterative correction; returns the per-epoch reports."""
     if features is None or labels is None:
@@ -220,8 +213,7 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
         raise ValidationError("labels hold %d class; correction needs at least 2" % C)
     if not cfg.graph.k_graph < n:
         raise ValidationError("k_graph must be smaller than the sample count")
-    if M > n:
-        raise ValidationError("n_branches %d exceeds the sample count %d" % (M, n))
+    _check_branch_count(M, n)
 
     state = LabelState(labels, labels.copy(), np.ones(n), C)
     dim = features.dim
@@ -446,7 +438,7 @@ def parse_config_file(path):
 def build_config(values):
     """Assemble a PipelineConfig from a flat key -> value mapping.
 
-    Missing keys take the config constructors' defaults.
+    Missing keys take the config dataclasses' defaults.
     """
     kwargs = {section: {} for section in (None, *SECTIONS)}
     for key, value in values.items():
@@ -465,17 +457,16 @@ def _load_inputs(args):
 
 
 def _config_from_args(args):
-    values = {}
-    if getattr(args, "config", None):
-        values = parse_config_file(args.config)
-    if getattr(args, "seed", None) is not None:
+    values = parse_config_file(args.config) if args.config else {}
+    if args.seed is not None:
         values["seed"] = args.seed
     cfg = build_config(values)
-    if getattr(args, "no_resplit", False):
+    if args.no_resplit:
         cfg.resplit_each_epoch = False
+    # sweep has no --dump-suggestions
     if getattr(args, "dump_suggestions", False):
         cfg.dump_suggestions = True
-    if getattr(args, "early_stop", False):
+    if args.early_stop:
         cfg.early_stop = True
     return cfg
 
@@ -511,6 +502,7 @@ def _cmd_synth(args):
 def _cmd_split(args):
     features, noisy, _ = _load_inputs(args)
     cfg = SplitConfig(args.branches, args.packages, args.seed)
+    _check_branch_count(cfg.n_branches, noisy.shape[0])
     assignment = split_dataset(features, noisy, cfg)
     with open(args.out, "w") as fh:
         fh.write("MLCS v1\n")
@@ -588,47 +580,44 @@ def make_parser():
     p = sub.add_parser("synth", help="generate a noisy blob dataset")
     p.add_argument("--out-features", required=True)
     p.add_argument("--out-labels", required=True)
-    p.add_argument("--classes", type=int64, default=4)
-    p.add_argument("--per-class", type=int64, default=500)
-    p.add_argument("--dim", type=int64, default=16)
-    p.add_argument("--separation", type=float, default=4.0)
-    p.add_argument("--noise-rate", type=float, default=0.3)
-    p.add_argument("--noise-kind", choices=["uniform", "confusing", "asymmetric", "none"],
-                   default="confusing")
+    p.add_argument("--classes", type=int64, default=SynthConfig.n_classes)
+    p.add_argument("--per-class", type=int64, default=SynthConfig.per_class)
+    p.add_argument("--dim", type=int64, default=SynthConfig.dim)
+    p.add_argument("--separation", type=float, default=SynthConfig.class_separation)
+    p.add_argument("--noise-rate", type=float, default=SynthConfig.noise_rate)
+    p.add_argument("--noise-kind", choices=NOISE_KINDS, default=SynthConfig.noise_kind)
     p.add_argument("--mapping", help="asymmetric arrows, e.g. 0:1,1:0")
-    p.add_argument("--seed", type=int64, default=0)
+    p.add_argument("--seed", type=int64, default=SynthConfig.rng_seed)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("split", help="write one package split")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--branches", type=int64, default=5)
-    p.add_argument("--packages", type=int64, default=4)
-    p.add_argument("--seed", type=int64, default=0)
+    p.add_argument("--branches", type=int64, default=SplitConfig.n_branches)
+    p.add_argument(
+        "--packages", type=int64, default=SplitConfig.packages_per_class_per_branch
+    )
+    p.add_argument("--seed", type=int64, default=SplitConfig.rng_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("correct", help="run the full correction loop")
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int64)
-    p.add_argument("--no-resplit", action="store_true")
+    # the flags of a correction run, shared by correct and sweep
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--features", required=True)
+    run.add_argument("--labels", required=True)
+    run.add_argument("--out", required=True)
+    run.add_argument("--config")
+    run.add_argument("--seed", type=int64)
+    run.add_argument("--no-resplit", action="store_true")
+    run.add_argument("--early-stop", action="store_true")
+
+    p = sub.add_parser("correct", parents=[run], help="run the full correction loop")
     p.add_argument("--dump-suggestions", action="store_true")
-    p.add_argument("--early-stop", action="store_true")
     p.set_defaults(func=_cmd_correct)
 
-    p = sub.add_parser("sweep", help="run the (M, B) sweep grid")
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--seed", type=int64)
+    p = sub.add_parser("sweep", parents=[run], help="run the (M, B) sweep grid")
     p.add_argument("--sweep-m", required=True)
     p.add_argument("--sweep-b", required=True)
-    p.add_argument("--no-resplit", action="store_true")
-    p.add_argument("--early-stop", action="store_true")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("eval", help="score corrected labels against clean ones")

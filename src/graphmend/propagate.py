@@ -21,24 +21,29 @@ adds K >= 8 values in another order than numpy's pairwise sum over a
 C-ordered row, so its scores would change in the last bit.
 """
 
+import dataclasses
+
 import numpy as np
 
 from . import accel
-from .core import SolverError, ValidationError, require_finite
+from .core import SolverError, ValidationError, cast_fields, require_finite
 
 NO_SUGGESTION = -1
 
 
+@dataclasses.dataclass
 class PropagationConfig:
-    def __init__(self, alpha_prop=0.99, cg_tolerance=1e-6, cg_max_iters=200):
-        require_finite(alpha_prop=alpha_prop, cg_tolerance=cg_tolerance)
-        if not 0.0 < alpha_prop < 1.0:
+    alpha_prop: float = 0.99
+    cg_tolerance: float = 1e-6
+    cg_max_iters: int = 200
+
+    def __post_init__(self):
+        require_finite(self)
+        if not 0.0 < self.alpha_prop < 1.0:
             raise ValidationError("alpha_prop must lie in (0, 1)")
-        if cg_tolerance <= 0 or cg_max_iters < 1:
+        if self.cg_tolerance <= 0 or self.cg_max_iters < 1:
             raise ValidationError("solver tolerance and iteration cap must be positive")
-        self.alpha_prop = float(alpha_prop)
-        self.cg_tolerance = float(cg_tolerance)
-        self.cg_max_iters = int(cg_max_iters)
+        cast_fields(self)
 
 
 class SuggestionTensor:

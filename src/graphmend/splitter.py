@@ -9,23 +9,28 @@ branch among those currently smallest, which in the exact M*B case means
 a uniformly random branch.
 """
 
+import dataclasses
+
 import numpy as np
 
 from . import accel
-from .core import ValidationError
+from .core import ValidationError, cast_fields
 
 
+@dataclasses.dataclass
 class SplitConfig:
-    def __init__(self, n_branches=5, packages_per_class_per_branch=4, rng_seed=0):
-        if n_branches < 1:
+    n_branches: int = 5
+    packages_per_class_per_branch: int = 4
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        if self.n_branches < 1:
             raise ValidationError("n_branches must be >= 1")
-        if packages_per_class_per_branch < 1:
+        if self.packages_per_class_per_branch < 1:
             raise ValidationError("packages_per_class_per_branch must be >= 1")
-        if rng_seed < 0:
+        if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
-        self.n_branches = int(n_branches)
-        self.packages_per_class_per_branch = int(packages_per_class_per_branch)
-        self.rng_seed = int(rng_seed)
+        cast_fields(self)
 
 
 class SplitAssignment:

@@ -9,42 +9,38 @@ Noise comes in three kinds: uniform flips, boundary-concentrated
 class asymmetric flips.
 """
 
+import dataclasses
+
 import numpy as np
 
-from .core import FeatureMatrix, ValidationError, require_finite
+from .core import FeatureMatrix, ValidationError, cast_fields, require_finite
 
 NOISE_KINDS = ("uniform", "confusing", "asymmetric", "none")
 
 
+@dataclasses.dataclass
 class SynthConfig:
-    def __init__(
-        self,
-        n_classes=4,
-        per_class=500,
-        dim=16,
-        class_separation=4.0,
-        noise_rate=0.3,
-        noise_kind="confusing",
-        rng_seed=0,
-    ):
-        require_finite(class_separation=class_separation, noise_rate=noise_rate)
-        if n_classes < 2:
+    n_classes: int = 4
+    per_class: int = 500
+    dim: int = 16
+    class_separation: float = 4.0
+    noise_rate: float = 0.3
+    noise_kind: str = "confusing"
+    rng_seed: int = 0
+
+    def __post_init__(self):
+        require_finite(self)
+        if self.n_classes < 2:
             raise ValidationError("need at least 2 classes")
-        if per_class < 1 or dim < 1:
+        if self.per_class < 1 or self.dim < 1:
             raise ValidationError("per_class and dim must be positive")
-        if not 0.0 <= noise_rate < 1.0:
+        if not 0.0 <= self.noise_rate < 1.0:
             raise ValidationError("noise_rate must lie in [0, 1)")
-        if noise_kind not in NOISE_KINDS:
-            raise ValidationError("unknown noise kind %r" % noise_kind)
-        if rng_seed < 0:
+        if self.noise_kind not in NOISE_KINDS:
+            raise ValidationError("unknown noise kind %r" % self.noise_kind)
+        if self.rng_seed < 0:
             raise ValidationError("rng_seed must be >= 0")
-        self.n_classes = int(n_classes)
-        self.per_class = int(per_class)
-        self.dim = int(dim)
-        self.class_separation = float(class_separation)
-        self.noise_rate = float(noise_rate)
-        self.noise_kind = noise_kind
-        self.rng_seed = int(rng_seed)
+        cast_fields(self)
 
 
 def class_centroids(cfg, rng):

@@ -7,14 +7,14 @@ from graphmend.branches import (
     BranchModel,
     ModelSet,
     TrainConfig,
+    _agreement_weights,
+    _backprop,
+    _softmax_backward,
     forward,
-    grad_graph_smooth,
     grad_noisy,
     grad_pseudo,
     init_model,
     load_model,
-    loss_graph_smooth,
-    loss_noisy,
     loss_pseudo,
     pair_prob_grads,
     save_model,
@@ -23,6 +23,37 @@ from graphmend.branches import (
 )
 from graphmend.core import FeatureMatrix, LabelState, TrainingError, ValidationError
 from graphmend.splitter import SplitConfig, mix_parameters, split_dataset
+
+
+# Loss-only references for the analytic gradients; training never
+# evaluates these losses on their own.
+
+
+def loss_noisy(probs, noisy, corrected, omega_bar):
+    """Cross entropy on original labels, weighted by agreement."""
+    return loss_pseudo(probs, noisy, _agreement_weights(noisy, corrected, omega_bar))
+
+
+def loss_graph_smooth(prob_pairs, alpha_smooth):
+    """RBF smoothness penalty over cross-class sample pairs.
+
+    prob_pairs is an iterable of (p_s, p_t, omega_s, omega_t) tuples with
+    p_* softmax rows from the branch owning each sample.
+    """
+    total = 0.0
+    for ps, pt, ws, wt in prob_pairs:
+        diff = np.asarray(ps, dtype=np.float64) - np.asarray(pt, dtype=np.float64)
+        total += np.sqrt(ws * wt) * np.exp(-alpha_smooth * np.linalg.norm(diff))
+    return float(total)
+
+
+def grad_graph_smooth(model, X, s_idx, t_idx, ws, wt, alpha):
+    """Loss and flat gradient of the smoothness penalty on one model."""
+    X = np.asarray(X, dtype=np.float64)
+    hidden, probs = forward(model, X)
+    loss, dprobs = pair_prob_grads(probs, s_idx, t_idx, ws, wt, alpha)
+    dlogits = _softmax_backward(probs, dprobs)
+    return loss, _backprop(model, X, hidden, dlogits)
 
 
 def identity_model():

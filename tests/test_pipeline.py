@@ -1,6 +1,7 @@
 """End-to-end correction runs, config parsing, and the CLI."""
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -39,7 +40,7 @@ from graphmend.pipeline import (
 from graphmend.propagate import NO_SUGGESTION, PropagationConfig, SuggestionTensor
 from graphmend.branches import TrainConfig
 from graphmend.splitter import SplitConfig, split_dataset
-from graphmend.synth import SynthConfig, make_blobs, make_noisy_dataset
+from graphmend.synth import NOISE_KINDS, SynthConfig, make_blobs, make_noisy_dataset
 from test_propagate import cg_reference
 
 
@@ -331,6 +332,61 @@ def test_run_config_echo(tmp_path):
     again = tmp_path / "again.txt"
     _write_run_config(str(again), build_config(echoed))
     assert again.read_bytes() == (tmp_path / "run_config.txt").read_bytes()
+
+
+def test_run_config_round_trips_every_key(tmp_path):
+    cfg = PipelineConfig(
+        split=SplitConfig(7, 3),
+        graph=GraphConfig(k_graph=9, gamma=2.5),
+        prop=PropagationConfig(alpha_prop=0.8, cg_tolerance=1e-9, cg_max_iters=77),
+        train=TrainConfig(
+            learning_rate=0.03,
+            momentum=0.5,
+            lr_decay=0.3,
+            lr_decay_every=2,
+            batch_size=16,
+            l2_weight=0.0,
+            hidden_width=8,
+            alpha_smooth=0.1 + 0.2,
+            pair_sample_count=33,
+        ),
+        outer_epochs=4,
+        resplit_each_epoch=False,
+        seed=12345,
+    )
+    default = PipelineConfig()
+    for key, (section, _) in CONFIG_KEYS.items():
+        got, want = (
+            getattr(c if section is None else getattr(c, section), key)
+            for c in (cfg, default)
+        )
+        assert got != want, key
+    path = tmp_path / "run_config.txt"
+    _write_run_config(str(path), cfg)
+    assert build_config(parse_config_file(str(path))) == cfg
+
+
+def test_config_dataclasses_hold_29_scalar_settings():
+    classes = (*SECTIONS.values(), PipelineConfig, SynthConfig)
+    scalars = [
+        field.name
+        for cls in classes
+        for field in dataclasses.fields(cls)
+        if field.name not in SECTIONS
+    ]
+    assert len(scalars) == 29
+    assert [key for key in scalars if key not in CONFIG_KEYS] == [
+        "rng_seed",
+        "dump_suggestions",
+        "early_stop",
+        *(field.name for field in dataclasses.fields(SynthConfig)),
+    ]
+
+
+def test_config_fields_cast_to_declared_types():
+    assert type(TrainConfig(hidden_width=16.0).hidden_width) is int
+    assert type(GraphConfig(gamma=3).gamma) is float
+    assert PipelineConfig(resplit_each_epoch=0).resplit_each_epoch is False
 
 
 def test_run_requires_small_k_graph():
@@ -736,6 +792,41 @@ def test_cli_split_table_equals_reference_writer(cli_dataset, tmp_path):
     assert out.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("branches", [121, 10**18])
+def test_cli_split_rejects_more_branches_than_samples(cli_dataset, tmp_path, branches):
+    root, feats, labels, _ = cli_dataset
+    out = tmp_path / "split.txt"
+    args = ["split", "--features", str(feats), "--labels", str(labels)]
+    proc = run_cli(args + ["--branches", "%d" % branches, "--out", str(out)])
+    assert proc.returncode == 11, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "n_branches %d exceeds the sample count 120" % branches in proc.stderr
+    assert not out.exists()
+
+
+def subcommands():
+    parser = make_parser()
+    return next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
+def test_cli_synth_and_split_defaults_are_the_config_defaults():
+    synth = subcommands()["synth"]
+    args = synth.parse_args(["--out-features", "f", "--out-labels", "l"])
+    got = SynthConfig(
+        args.classes, args.per_class, args.dim, args.separation,
+        args.noise_rate, args.noise_kind, args.seed,
+    )
+    assert got == SynthConfig()
+    assert tuple(synth._option_string_actions["--noise-kind"].choices) == NOISE_KINDS
+    args = subcommands()["split"].parse_args(
+        ["--features", "f", "--labels", "l", "--out", "o"]
+    )
+    assert SplitConfig(args.branches, args.packages, args.seed) == SplitConfig()
+
+
 def test_cli_sweep(cli_dataset):
     root, feats, labels, cfg = cli_dataset
     out = root / "sweep"
@@ -1079,14 +1170,9 @@ def readme_command_line_flags():
 
 
 def test_readme_cli_flags_match_parser():
-    parser = make_parser()
-    subparsers = next(
-        action for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
     known = {
         flag
-        for sub in subparsers.choices.values()
+        for sub in subcommands().values()
         for flag in sub._option_string_actions
     }
     flags = readme_command_line_flags()
