@@ -5,10 +5,12 @@ affine layer doubles as the feature embedding that the graphs are built
 from.  Three losses drive training: confidence-weighted cross entropy on
 corrected labels, complementary-weighted cross entropy on the original
 noisy labels, and a graph smoothness penalty pulling the RBF kernel of
-cross-class softmax outputs toward zero.  Training evaluates the last two
-only together with their analytic gradients (grad_noisy and
-pair_prob_grads).  All parameters of a model live in one flat vector;
-the layer matrices are reshaped views into it.
+cross-class softmax outputs toward zero.  The noisy-label loss is the
+corrected-label loss under agreement weights, so both full-data
+branches step through grad_pseudo.  Training evaluates the smoothness
+loss only together with its gradient (pair_prob_grads).  All parameters
+of a model live in one flat vector; the layer matrices are reshaped
+views into it.
 """
 
 import dataclasses
@@ -128,17 +130,6 @@ def _agreement_weights(noisy, corrected, omega_bar):
     return np.where(np.asarray(noisy) == np.asarray(corrected), omega_bar, 1.0 - omega_bar)
 
 
-def _pair_terms(ps, pt, ws, wt, alpha):
-    diff = ps - pt
-    dist = np.linalg.norm(diff, axis=1)
-    coef = np.sqrt(ws * wt) * np.exp(-alpha * dist)
-    # the norm is not differentiable at 0; identical outputs contribute
-    # a flat maximum there, so the gradient is defined as 0
-    live = dist > 1e-12
-    scale = np.where(live, -alpha * coef / np.where(live, dist, 1.0), 0.0)
-    return float(coef.sum()), scale[:, None] * diff
-
-
 def _softmax_backward(probs, dprobs):
     inner = (dprobs * probs).sum(axis=1, keepdims=True)
     return probs * (dprobs - inner)
@@ -160,7 +151,11 @@ def _backprop(model, X, hidden, dlogits):
 def grad_pseudo(model, X, corrected, omega_bar):
     """Loss and flat analytic gradient of loss_pseudo."""
     X = np.asarray(X, dtype=np.float64)
-    hidden, probs = forward(model, X)
+    return _grad_pseudo_at(model, X, *forward(model, X), corrected, omega_bar)
+
+
+def _grad_pseudo_at(model, X, hidden, probs, corrected, omega_bar):
+    """grad_pseudo from the forward pass (hidden, probs) of X."""
     loss = loss_pseudo(probs, corrected, omega_bar)
     hot = np.zeros_like(probs)
     hot[np.arange(len(corrected)), corrected] = 1.0
@@ -168,19 +163,20 @@ def grad_pseudo(model, X, corrected, omega_bar):
     return loss, _backprop(model, X, hidden, dlogits)
 
 
-def grad_noisy(model, X, noisy, corrected, omega_bar):
-    """Loss and flat analytic gradient of the cross entropy on original
-    labels, weighted by agreement."""
-    return grad_pseudo(model, X, noisy, _agreement_weights(noisy, corrected, omega_bar))
-
-
 def pair_prob_grads(probs, s_pos, t_pos, ws, wt, alpha):
     """Smoothness loss over index pairs plus its gradient in prob space."""
-    loss, g = _pair_terms(probs[s_pos], probs[t_pos], ws, wt, alpha)
+    diff = probs[s_pos] - probs[t_pos]
+    dist = np.linalg.norm(diff, axis=1)
+    coef = np.sqrt(ws * wt) * np.exp(-alpha * dist)
+    # the norm is not differentiable at 0; identical outputs contribute
+    # a flat maximum there, so the gradient is defined as 0
+    live = dist > 1e-12
+    scale = np.where(live, -alpha * coef / np.where(live, dist, 1.0), 0.0)
+    g = scale[:, None] * diff
     dprobs = np.zeros_like(probs)
     np.add.at(dprobs, s_pos, g)
     np.add.at(dprobs, t_pos, -g)
-    return loss, dprobs
+    return float(coef.sum()), dprobs
 
 
 def sgd_step(model, grad, lr, momentum, l2_weight):
@@ -207,8 +203,8 @@ def train_epoch(models, assignment, features, state, cfg, rng, epoch=1):
     the smoothness loss is evaluated on cross-class pairs sampled from
     the union of the live minibatches (only samples whose label survived
     correction), and during epoch 1 each ensemble branch additionally
-    takes a plain cross-entropy term on its subset to bootstrap its
-    embedding.
+    takes a plain cross-entropy term on its subset, from the same
+    forward pass, to bootstrap its embedding.
     """
     X = features.data.astype(np.float64)
     n = state.n_samples
@@ -217,8 +213,14 @@ def train_epoch(models, assignment, features, state, cfg, rng, epoch=1):
     lr = cfg.learning_rate * cfg.lr_decay ** ((epoch - 1) // cfg.lr_decay_every)
     eligible = state.noisy == state.corrected
 
-    order_corrected = rng.permutation(n)
-    order_noisy = rng.permutation(n)
+    # (role, model, labels, weights, order) of the two full-data branches;
+    # the noisy branch weighs the original labels by agreement
+    noisy_weights = _agreement_weights(state.noisy, state.corrected, state.confidence)
+    full_data = [
+        ("corrected-branch", models.corrected, state.corrected, state.confidence,
+         rng.permutation(n)),
+        ("noisy-branch", models.noisy, state.noisy, noisy_weights, rng.permutation(n)),
+    ]
     subset_orders = []
     for m in range(M):
         members = assignment.members_of(m)
@@ -227,55 +229,35 @@ def train_epoch(models, assignment, features, state, cfg, rng, epoch=1):
     steps = (n + bs - 1) // bs
     for step in range(steps):
         lo, hi = step * bs, (step + 1) * bs
-
-        batch = order_corrected[lo:hi]
-        loss, grad = grad_pseudo(
-            models.corrected, X[batch], state.corrected[batch], state.confidence[batch]
-        )
-        _check_loss(loss, "corrected-branch", step)
-        sgd_step(models.corrected, grad / batch.shape[0], lr, cfg.momentum, cfg.l2_weight)
-
-        batch = order_noisy[lo:hi]
-        loss, grad = grad_noisy(
-            models.noisy,
-            X[batch],
-            state.noisy[batch],
-            state.corrected[batch],
-            state.confidence[batch],
-        )
-        _check_loss(loss, "noisy-branch", step)
-        sgd_step(models.noisy, grad / batch.shape[0], lr, cfg.momentum, cfg.l2_weight)
+        for role, model, labels, weights, order in full_data:
+            batch = order[lo:hi]
+            loss, grad = grad_pseudo(model, X[batch], labels[batch], weights[batch])
+            _check_loss(loss, role, step)
+            sgd_step(model, grad / batch.shape[0], lr, cfg.momentum, cfg.l2_weight)
 
         live = [(m, subset_orders[m][lo:hi]) for m in range(M)]
-        live = [(m, b) for m, b in live if b.shape[0] > 0]
+        live = [(models.ensemble[m], X[b], b) for m, b in live if b.shape[0] > 0]
         if not live:
             continue
-        outputs = []
-        for m, b in live:
-            hidden, probs = forward(models.ensemble[m], X[b])
-            outputs.append((m, b, hidden, probs))
-        union = np.concatenate([b for _, b in live])
-        probs_union = np.vstack([probs for _, _, _, probs in outputs])
+        outputs = [forward(model, Xb) for model, Xb, _ in live]
+        union = np.concatenate([b for _, _, b in live])
+        probs_union = np.vstack([probs for _, probs in outputs])
         dprobs_union, pair_loss = _sample_pair_grads(
             union, probs_union, state, eligible, cfg, rng
         )
         _check_loss(pair_loss, "smoothness", step)
-        offset = 0
-        for m, b, hidden, probs in outputs:
-            dprobs = dprobs_union[offset:offset + b.shape[0]]
-            offset += b.shape[0]
-            dlogits = _softmax_backward(probs, dprobs)
-            grad = _backprop(models.ensemble[m], X[b], hidden, dlogits)
+        ends = np.cumsum([b.shape[0] for _, _, b in live])[:-1]
+        for (model, Xb, b), (hidden, probs), dprobs in zip(
+            live, outputs, np.split(dprobs_union, ends)
+        ):
+            grad = _backprop(model, Xb, hidden, _softmax_backward(probs, dprobs))
             if epoch == 1:
-                warm_loss, warm = grad_pseudo(
-                    models.ensemble[m],
-                    X[b],
-                    state.corrected[b],
-                    np.ones(b.shape[0]),
+                warm_loss, warm = _grad_pseudo_at(
+                    model, Xb, hidden, probs, state.corrected[b], np.ones(b.shape[0])
                 )
                 _check_loss(warm_loss, "warm-up", step)
                 grad = grad + warm / b.shape[0]
-            sgd_step(models.ensemble[m], grad, lr, cfg.momentum, cfg.l2_weight)
+            sgd_step(model, grad, lr, cfg.momentum, cfg.l2_weight)
     for model in (models.corrected, models.noisy, *models.ensemble):
         if not np.isfinite(model.theta).all():
             raise TrainingError("non-finite parameters after training")

@@ -147,11 +147,20 @@ def inject_asymmetric(labels, rate, mapping, rng, n_classes):
 
 
 def make_noisy_dataset(cfg, rng=None, mapping=None):
-    """Blobs plus injected noise; returns (features, noisy, clean)."""
+    """Blobs plus injected noise; returns (features, noisy, clean).
+
+    A mapping is accepted only with asymmetric noise.
+    """
+    if mapping is not None and cfg.noise_kind != "asymmetric":
+        raise ValidationError(
+            "a mapping applies only to asymmetric noise, not %r" % cfg.noise_kind
+        )
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     features, clean, centroids = _blobs_with_centroids(cfg, rng)
-    if cfg.noise_kind == "none" or cfg.noise_rate == 0.0:
+    # a zero rate goes on to the injectors, which then flip and draw
+    # nothing, so a mapping is checked at every rate
+    if cfg.noise_kind == "none":
         return features, clean.copy(), clean
     if cfg.noise_kind == "uniform":
         noisy = inject_uniform(clean, cfg.noise_rate, cfg.n_classes, rng)

@@ -19,7 +19,6 @@ import scipy.sparse
 from graphmend.branches import (
     TrainConfig,
     forward,
-    grad_noisy,
     grad_pseudo,
     init_model,
     loss_pseudo,
@@ -37,7 +36,7 @@ from graphmend.propagate import (
 )
 from graphmend.splitter import SplitConfig, split_dataset
 from graphmend.synth import SynthConfig, make_noisy_dataset
-from test_branches import grad_graph_smooth, loss_graph_smooth, loss_noisy
+from test_branches import grad_graph_smooth, grad_noisy, loss_graph_smooth, loss_noisy
 from test_propagate import diffusion_oracle
 
 

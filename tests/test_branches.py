@@ -9,9 +9,10 @@ from graphmend.branches import (
     TrainConfig,
     _agreement_weights,
     _backprop,
+    _check_loss,
+    _sample_pair_grads,
     _softmax_backward,
     forward,
-    grad_noisy,
     grad_pseudo,
     init_model,
     load_model,
@@ -22,7 +23,7 @@ from graphmend.branches import (
     train_epoch,
 )
 from graphmend.core import FeatureMatrix, LabelState, TrainingError, ValidationError
-from graphmend.splitter import SplitConfig, mix_parameters, split_dataset
+from graphmend.splitter import SplitAssignment, SplitConfig, mix_parameters, split_dataset
 
 
 # Loss-only references for the analytic gradients; training never
@@ -32,6 +33,12 @@ from graphmend.splitter import SplitConfig, mix_parameters, split_dataset
 def loss_noisy(probs, noisy, corrected, omega_bar):
     """Cross entropy on original labels, weighted by agreement."""
     return loss_pseudo(probs, noisy, _agreement_weights(noisy, corrected, omega_bar))
+
+
+def grad_noisy(model, X, noisy, corrected, omega_bar):
+    """Loss and flat analytic gradient of the cross entropy on original
+    labels, weighted by agreement."""
+    return grad_pseudo(model, X, noisy, _agreement_weights(noisy, corrected, omega_bar))
 
 
 def loss_graph_smooth(prob_pairs, alpha_smooth):
@@ -344,6 +351,185 @@ def test_train_epoch_bitwise_deterministic():
         train_epoch(models, assignment, feats, state, cfg, rng, epoch=2)
         out.append(np.concatenate([m.theta for m in [models.corrected, models.noisy] + models.ensemble]))
     assert np.array_equal(out[0], out[1])
+
+
+# train_epoch before the two full-data roles shared one loop and the
+# epoch-1 warm-up reused the ensemble forward pass, kept as the bit-exact
+# reference for the current one.
+
+
+def train_epoch_reference(models, assignment, features, state, cfg, rng, epoch=1):
+    """One pass of minibatch SGD over every branch role.
+
+    The corrected branch trains on the full data with the pseudo-label
+    loss, the noisy branch on the full data with the noisy-label loss.
+    Ensemble branches walk their own subsets in lockstep; at each step
+    the smoothness loss is evaluated on cross-class pairs sampled from
+    the union of the live minibatches (only samples whose label survived
+    correction), and during epoch 1 each ensemble branch additionally
+    takes a plain cross-entropy term on its subset to bootstrap its
+    embedding.
+    """
+    X = features.data.astype(np.float64)
+    n = state.n_samples
+    M = len(models.ensemble)
+    bs = cfg.batch_size
+    lr = cfg.learning_rate * cfg.lr_decay ** ((epoch - 1) // cfg.lr_decay_every)
+    eligible = state.noisy == state.corrected
+
+    order_corrected = rng.permutation(n)
+    order_noisy = rng.permutation(n)
+    subset_orders = []
+    for m in range(M):
+        members = assignment.members_of(m)
+        subset_orders.append(members[rng.permutation(members.shape[0])])
+
+    steps = (n + bs - 1) // bs
+    for step in range(steps):
+        lo, hi = step * bs, (step + 1) * bs
+
+        batch = order_corrected[lo:hi]
+        loss, grad = grad_pseudo(
+            models.corrected, X[batch], state.corrected[batch], state.confidence[batch]
+        )
+        _check_loss(loss, "corrected-branch", step)
+        sgd_step(models.corrected, grad / batch.shape[0], lr, cfg.momentum, cfg.l2_weight)
+
+        batch = order_noisy[lo:hi]
+        loss, grad = grad_noisy(
+            models.noisy,
+            X[batch],
+            state.noisy[batch],
+            state.corrected[batch],
+            state.confidence[batch],
+        )
+        _check_loss(loss, "noisy-branch", step)
+        sgd_step(models.noisy, grad / batch.shape[0], lr, cfg.momentum, cfg.l2_weight)
+
+        live = [(m, subset_orders[m][lo:hi]) for m in range(M)]
+        live = [(m, b) for m, b in live if b.shape[0] > 0]
+        if not live:
+            continue
+        outputs = []
+        for m, b in live:
+            hidden, probs = forward(models.ensemble[m], X[b])
+            outputs.append((m, b, hidden, probs))
+        union = np.concatenate([b for _, b in live])
+        probs_union = np.vstack([probs for _, _, _, probs in outputs])
+        dprobs_union, pair_loss = _sample_pair_grads(
+            union, probs_union, state, eligible, cfg, rng
+        )
+        _check_loss(pair_loss, "smoothness", step)
+        offset = 0
+        for m, b, hidden, probs in outputs:
+            dprobs = dprobs_union[offset:offset + b.shape[0]]
+            offset += b.shape[0]
+            dlogits = _softmax_backward(probs, dprobs)
+            grad = _backprop(models.ensemble[m], X[b], hidden, dlogits)
+            if epoch == 1:
+                warm_loss, warm = grad_pseudo(
+                    models.ensemble[m],
+                    X[b],
+                    state.corrected[b],
+                    np.ones(b.shape[0]),
+                )
+                _check_loss(warm_loss, "warm-up", step)
+                grad = grad + warm / b.shape[0]
+            sgd_step(models.ensemble[m], grad, lr, cfg.momentum, cfg.l2_weight)
+    for model in (models.corrected, models.noisy, *models.ensemble):
+        if not np.isfinite(model.theta).all():
+            raise TrainingError("non-finite parameters after training")
+    return models
+
+
+def uneven_training_setup(seed):
+    """Three branches of 120, 40 and 20 samples on 180 with batch 32: the
+    small branches run out after 2 and 1 steps, the last two steps have no
+    live ensemble batch.  About 30% of the labels are corrected and the
+    confidences vary, so both agreement weights occur."""
+    feats, labels, _, _, cfg, _ = blob_training_setup(seed)
+    rng = np.random.default_rng(seed + 2)
+    corrected = labels.copy()
+    moved = rng.random(labels.shape[0]) < 0.3
+    corrected[moved] = (labels[moved] + 1) % 3
+    state = LabelState(labels, corrected, rng.uniform(0.05, 1.0, labels.shape[0]), 3)
+    branch_of = np.repeat([0, 1, 2], [120, 40, 20])[rng.permutation(180)]
+    assignment = SplitAssignment(branch_of, np.zeros(180, dtype=np.int64), [], 3)
+    return feats, state, assignment, cfg, 3
+
+
+def all_corrected_setup(seed):
+    """Every label was corrected, so no pair qualifies for smoothness."""
+    feats, labels, _, assignment, cfg, _ = blob_training_setup(seed)
+    state = LabelState(labels, (labels + 1) % 3, np.full(labels.shape[0], 0.7), 3)
+    return feats, state, assignment, cfg, 2
+
+
+def single_branch_setup(seed):
+    feats, labels, state, _, cfg, _ = blob_training_setup(seed)
+    return feats, state, split_dataset(feats, labels, SplitConfig(1, 2, seed)), cfg, 1
+
+
+def fresh_models(feats, cfg, M, seed):
+    base = init_model(feats.dim, cfg.hidden_width, 3, np.random.default_rng(seed))
+    return ModelSet([base.clone() for _ in range(M)], base.clone(), base.clone())
+
+
+def all_roles(models):
+    return [models.corrected, models.noisy] + models.ensemble
+
+
+@pytest.mark.parametrize(
+    "setup", [uneven_training_setup, all_corrected_setup, single_branch_setup],
+    ids=["uneven-subsets", "all-corrected", "one-branch"],
+)
+def test_train_epoch_bitwise_equals_reference(setup):
+    feats, state, assignment, cfg, M = setup(31)
+    got, want = fresh_models(feats, cfg, M, 5), fresh_models(feats, cfg, M, 5)
+    rng_got, rng_want = np.random.default_rng(77), np.random.default_rng(77)
+    # epoch 6 is the first past the learning-rate decay (lr_decay_every 5)
+    for epoch in range(1, 7):
+        train_epoch(got, assignment, feats, state, cfg, rng_got, epoch=epoch)
+        train_epoch_reference(want, assignment, feats, state, cfg, rng_want, epoch=epoch)
+        if epoch in (1, 2, 6):
+            for a, b in zip(all_roles(got), all_roles(want)):
+                assert np.array_equal(a.theta.view(np.uint64), b.theta.view(np.uint64))
+                assert np.array_equal(
+                    a.velocity.view(np.uint64), b.velocity.view(np.uint64)
+                )
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_all_corrected_state_has_no_smoothness_gradient():
+    feats, state, assignment, cfg, M = all_corrected_setup(31)
+    union = np.arange(state.n_samples)
+    probs = np.full((state.n_samples, 3), 1.0 / 3)
+    eligible = state.noisy == state.corrected
+    rng = np.random.default_rng(0)
+    dprobs, loss = _sample_pair_grads(union, probs, state, eligible, cfg, rng)
+    assert loss == 0.0 and not dprobs.any()
+
+
+@pytest.mark.parametrize("epoch", [1, 2])
+def test_train_epoch_one_forward_per_batch(monkeypatch, epoch):
+    import graphmend.branches as branches
+
+    feats, state, assignment, cfg, M = uneven_training_setup(32)
+    models = fresh_models(feats, cfg, M, 6)
+    calls = {}
+
+    def counting_forward(model, X):
+        calls[id(model)] = calls.get(id(model), 0) + 1
+        return forward(model, X)
+
+    monkeypatch.setattr(branches, "forward", counting_forward)
+    train_epoch(models, assignment, feats, state, cfg, np.random.default_rng(1), epoch=epoch)
+    steps = -(-state.n_samples // cfg.batch_size)
+    want = [steps, steps] + [
+        -(-assignment.members_of(m).shape[0] // cfg.batch_size) for m in range(M)
+    ]
+    assert want == [6, 6, 4, 2, 1]
+    assert [calls.get(id(model), 0) for model in all_roles(models)] == want
 
 
 def test_model_checkpoint_round_trip(tmp_path):

@@ -1065,9 +1065,15 @@ SYNTH_SMALL = ["synth", "--classes", "3", "--per-class", "20"]
     [
         (["--noise-kind", "asymmetric", "--mapping", "0:99"], "0:99"),
         (["--noise-kind", "asymmetric", "--mapping", "7:1"], "7:1"),
+        (["--noise-kind", "asymmetric", "--noise-rate", "0", "--mapping", "0:9"], "0:9"),
+        (["--noise-kind", "uniform", "--mapping", "0:1"], "only to asymmetric noise"),
+        (["--noise-kind", "none", "--mapping", "0:1"], "only to asymmetric noise"),
         (["--separation", "nan"], "class_separation"),
     ],
-    ids=["mapping-target", "mapping-source", "separation-nan"],
+    ids=[
+        "mapping-target", "mapping-source", "mapping-zero-rate", "mapping-uniform",
+        "mapping-none", "separation-nan",
+    ],
 )
 def test_cli_synth_bad_setting_exit_code(tmp_path, args, named):
     out = ["--out-features", str(tmp_path / "f.bin"), "--out-labels", str(tmp_path / "l.csv")]
@@ -1075,7 +1081,7 @@ def test_cli_synth_bad_setting_exit_code(tmp_path, args, named):
     assert proc.returncode == 11, proc.stderr
     assert "Traceback" not in proc.stderr
     assert named in proc.stderr
-    assert not (tmp_path / "l.csv").exists()
+    assert not (tmp_path / "l.csv").exists() and not (tmp_path / "f.bin").exists()
 
 
 @pytest.mark.parametrize(

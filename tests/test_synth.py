@@ -188,6 +188,37 @@ def test_make_noisy_dataset_none_kind():
     assert np.array_equal(clean, np.repeat([0, 1], 5))
 
 
+@pytest.mark.parametrize("kind", ["uniform", "confusing", "none"])
+def test_make_noisy_dataset_rejects_mapping_without_asymmetric_noise(kind):
+    cfg = SynthConfig(n_classes=3, per_class=20, dim=4, noise_kind=kind, rng_seed=0)
+    with pytest.raises(ValidationError, match="only to asymmetric noise"):
+        make_noisy_dataset(cfg, mapping={0: 1})
+
+
+def test_make_noisy_dataset_checks_mapping_at_zero_rate():
+    cfg = SynthConfig(
+        n_classes=3, per_class=20, dim=4, noise_rate=0.0, noise_kind="asymmetric", rng_seed=0
+    )
+    with pytest.raises(ValidationError, match="0:9"):
+        make_noisy_dataset(cfg, mapping={0: 9})
+    feats, noisy, clean = make_noisy_dataset(cfg, mapping={0: 1})
+    assert np.array_equal(noisy, clean) and noisy is not clean
+
+
+@pytest.mark.parametrize("kind", ["uniform", "confusing", "asymmetric"])
+def test_make_noisy_dataset_zero_rate_flips_nothing(kind):
+    cfg = SynthConfig(
+        n_classes=3, per_class=20, dim=4, noise_rate=0.0, noise_kind=kind, rng_seed=5
+    )
+    rng = np.random.default_rng(5)
+    feats, noisy, clean = make_noisy_dataset(cfg, rng)
+    assert np.array_equal(noisy, clean) and noisy is not clean
+    # no noise draw: the generator stands where the blobs left it
+    blobs_rng = np.random.default_rng(5)
+    make_blobs(cfg, blobs_rng)
+    assert rng.bit_generator.state == blobs_rng.bit_generator.state
+
+
 def test_make_noisy_dataset_deterministic():
     cfg = SynthConfig(n_classes=3, per_class=30, dim=4, noise_rate=0.2, rng_seed=13)
     a = make_noisy_dataset(cfg)
