@@ -61,7 +61,13 @@ class BranchModel:
         self.n_classes = int(n_classes)
         size = dim * hidden + hidden + hidden * n_classes + n_classes
         if theta is None:
-            theta = np.zeros(size)
+            try:
+                theta = np.zeros(size)
+            except (MemoryError, ValueError):
+                # ValueError: more entries than numpy's maximum dimension
+                raise ValidationError(
+                    "model has %d parameters, too many to allocate" % size
+                ) from None
         else:
             theta = np.ascontiguousarray(theta, dtype=np.float64)
             if theta.shape != (size,):

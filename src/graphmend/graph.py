@@ -3,9 +3,12 @@ symmetric normalization.
 
 Neighbour search is exact: each node keeps the k most cosine-similar
 other nodes, ordered by descending similarity, with equal similarities
-(0.0 and -0.0 included) going to the lower index.  Selection costs one
-argpartition per block of rows; only rows whose k-th value also occurs
-outside the selection take a full stable sort to settle the tie.
+(0.0 and -0.0 included) going to the lower index.  Similarities are
+computed block by block of rows into one buffer allocated per call, so
+only one block is ever live.  Selection costs one argpartition per block
+of rows, which also places the runner-up, the largest entry left out of
+the selection; only rows whose runner-up equals their k-th value take a
+full stable sort to settle the tie.
 
 On wide blocks (n >= 64 k) a slab bound first shrinks each row to k g
 candidates.  The first g w columns are cut into g contiguous slabs of
@@ -71,21 +74,25 @@ def _topk_rows(sims, k):
 
     Returns (indices, values) with columns ordered by descending value
     and ascending index within equal values; 0.0 and -0.0 count as equal.
-    One argpartition picks k largest entries per row.  When nothing
-    outside that pick equals the row's k-th value, the pick is the only
-    valid set and sorting it finishes the row.  Rows where the k-th value
-    is tied across the cut are redone with one stable sort of the whole
-    row, which hands the tied slots to the lowest indices.
+    One argpartition picks k largest entries per row and, next to them,
+    the runner-up: the largest entry left out, which no other left-out
+    entry exceeds.  When the runner-up is below the row's k-th value, the
+    pick is the only valid set and sorting it finishes the row.  Rows
+    whose runner-up equals the k-th value are tied across the cut and are
+    redone with one stable sort of the whole row, which hands the tied
+    slots to the lowest indices.
     """
     n = sims.shape[1]
-    idx = np.sort(np.argpartition(sims, n - k, axis=1)[:, n - k:], axis=1)
+    # copy the k + 1 kept columns so the full index array is freed at once
+    part = np.argpartition(sims, n - k - 1, axis=1)[:, n - k - 1:].copy()
+    runner_up = np.take_along_axis(sims, part[:, :1], axis=1)[:, 0]
+    idx = np.sort(part[:, 1:], axis=1)
     vals = np.take_along_axis(sims, idx, axis=1)
     # a stable sort on descending value keeps ascending index inside ties
     order = np.argsort(-vals, axis=1, kind="stable")
     idx = np.take_along_axis(idx, order, axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
-    kth = vals[:, -1:]
-    tied = np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k)
+    tied = np.flatnonzero(runner_up >= vals[:, -1])
     if tied.size:
         idx[tied], vals[tied] = _sorted_topk(sims[tied], k)
     return idx, vals
@@ -115,9 +122,10 @@ def _topk_slabs(sims, k):
         return _topk_rows(sims, k)
     w = n // g
     maxima = np.maximum.reduce(sims[:, :g * w].reshape(b, g, w), axis=1)
-    part = np.argpartition(maxima, w - k, axis=1)
-    bound = np.take_along_axis(maxima, part[:, w - k:w - k + 1], axis=1)
-    pick = np.sort(part[:, w - k:], axis=1)
+    part = np.argpartition(maxima, w - k - 1, axis=1)[:, w - k - 1:]
+    runner_up = np.take_along_axis(maxima, part[:, :1], axis=1)[:, 0]
+    bound = np.take_along_axis(maxima, part[:, 1:], axis=1).min(axis=1)
+    pick = np.sort(part[:, 1:], axis=1)
     # candidate columns in ascending order: slab by slab, then the tail
     cols = (pick[:, None, :] + w * np.arange(g)[:, None]).reshape(b, g * k)
     tail = np.broadcast_to(np.arange(g * w, n), (b, n - g * w))
@@ -126,7 +134,7 @@ def _topk_slabs(sims, k):
     idx = np.take_along_axis(cols, local, axis=1)
     # an unpicked slab column whose maximum equals the bound may hold a
     # lower-indexed entry tied with the k-th value
-    tied = np.flatnonzero(np.count_nonzero(maxima >= bound, axis=1) > k)
+    tied = np.flatnonzero(runner_up >= bound)
     if tied.size:
         idx[tied], vals[tied] = _sorted_topk(sims[tied], k)
     return idx, vals
@@ -146,9 +154,11 @@ def knn_neighbors(features, k_graph, block=512):
     unit = _normalized_features(features)
     neighbors = np.empty((n, k_graph), dtype=np.int64)
     sims = np.empty((n, k_graph))
+    buf = np.empty((min(block, n), n))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        s = unit[start:stop] @ unit.T
+        # a leading row slice of buf is C-contiguous: still one GEMM call
+        s = np.matmul(unit[start:stop], unit.T, out=buf[:stop - start])
         s[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         idx, vals = _topk_slabs(s, k_graph)
         neighbors[start:stop] = idx

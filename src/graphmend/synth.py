@@ -157,6 +157,8 @@ def make_noisy_dataset(cfg, rng=None, mapping=None):
         )
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
+    elif not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
     features, clean, centroids = _blobs_with_centroids(cfg, rng)
     # a zero rate goes on to the injectors, which then flip and draw
     # nothing, so a mapping is checked at every rate

@@ -84,6 +84,15 @@ def test_parameter_vector_length_checked():
         BranchModel(3, 4, 2, np.zeros(7))
 
 
+@pytest.mark.parametrize("hidden", [10**15, 2**60])
+def test_model_too_large_to_allocate_rejected(hidden):
+    # 10**15 hidden units ask for 80 PB and 2**60 for more entries than
+    # numpy's maximum dimension; both fail before any page is touched
+    size = 6 * hidden + hidden + hidden * 3 + 3
+    with pytest.raises(ValidationError, match="%d parameters" % size):
+        BranchModel(6, hidden, 3)
+
+
 def test_forward_zero_model_is_uniform():
     m = BranchModel(3, 4, 5)
     hidden, probs = forward(m, np.ones((2, 3)))

@@ -1,5 +1,7 @@
 """Neighbour search, adjacency weights, symmetric normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -234,6 +236,121 @@ def test_correction_run_equals_reference_topk_run(monkeypatch):
     real = run()
     monkeypatch.setattr(graph, "_topk_rows", topk_rows_reference)
     assert run() == real
+
+
+def topk_rows_count_reference(sims, k):
+    """graph._topk_rows as it was before it read ties off its own
+    partition: the tie test counts every entry >= the k-th value."""
+    n = sims.shape[1]
+    idx = np.sort(np.argpartition(sims, n - k, axis=1)[:, n - k:], axis=1)
+    vals = np.take_along_axis(sims, idx, axis=1)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    idx = np.take_along_axis(idx, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    kth = vals[:, -1:]
+    tied = np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k)
+    if tied.size:
+        idx[tied], vals[tied] = graph._sorted_topk(sims[tied], k)
+    return idx, vals
+
+
+def topk_slabs_count_reference(sims, k):
+    """graph._topk_slabs with the same counting tie test on slab maxima."""
+    b, n = sims.shape
+    g = graph._slab_count(n, k)
+    if not g:
+        return topk_rows_count_reference(sims, k)
+    w = n // g
+    maxima = np.maximum.reduce(sims[:, :g * w].reshape(b, g, w), axis=1)
+    part = np.argpartition(maxima, w - k, axis=1)
+    bound = np.take_along_axis(maxima, part[:, w - k:w - k + 1], axis=1)
+    pick = np.sort(part[:, w - k:], axis=1)
+    cols = (pick[:, None, :] + w * np.arange(g)[:, None]).reshape(b, g * k)
+    tail = np.broadcast_to(np.arange(g * w, n), (b, n - g * w))
+    cols = np.concatenate([cols, tail], axis=1)
+    local, vals = topk_rows_count_reference(np.take_along_axis(sims, cols, axis=1), k)
+    idx = np.take_along_axis(cols, local, axis=1)
+    tied = np.flatnonzero(np.count_nonzero(maxima >= bound, axis=1) > k)
+    if tied.size:
+        idx[tied], vals[tied] = graph._sorted_topk(sims[tied], k)
+    return idx, vals
+
+
+def knn_neighbors_reference(features, k_graph, block=512):
+    """knn_neighbors as it was before it reused one similarity buffer:
+    a fresh product per block and the counting tie tests."""
+    n = features.n_samples
+    unit = graph._normalized_features(features)
+    neighbors = np.empty((n, k_graph), dtype=np.int64)
+    sims = np.empty((n, k_graph))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        s = unit[start:stop] @ unit.T
+        s[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        idx, vals = topk_slabs_count_reference(s, k_graph)
+        neighbors[start:stop] = idx
+        sims[start:stop] = vals
+    return neighbors, sims
+
+
+def random_features(rng, n):
+    return FeatureMatrix(rng.standard_normal((n, 6)))
+
+
+def duplicated_features_of_size(rng, n):
+    return duplicated_features(rng, distinct=n // 5, copies=5)
+
+
+def signed_zero_features(rng, n):
+    data = rng.integers(-1, 2, (n, 4)).astype(np.float64)
+    zero = data == 0
+    data[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    data[np.all(zero, axis=1), 0] = 1.0
+    return FeatureMatrix(data)
+
+
+@pytest.mark.parametrize(
+    "make", [random_features, duplicated_features_of_size, signed_zero_features]
+)
+@pytest.mark.parametrize("n", [40, 335, 700])
+@pytest.mark.parametrize("block", [7, 512])
+def test_knn_equals_fresh_block_reference(make, n, block):
+    # n = 40 runs the direct kernel for every k; n = 335 and 700 run the
+    # slab path for k = 1 and 5 and the direct kernel for k = n - 1, whose
+    # runner-up in every row is the -inf diagonal.  n = 40 and 335 are
+    # below one 512-row block, and no n is a multiple of either block
+    feats = make(np.random.default_rng(n + block), n)
+    for k in (1, 5, n - 1):
+        got = knn_neighbors(feats, k, block=block)
+        want = knn_neighbors_reference(feats, k, block=block)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+
+
+def test_topk_runner_up_is_minus_inf_diagonal():
+    # k = n - 1: everything but the -inf diagonal is kept, and the 0.5 tie
+    # among the kept entries needs no full sort
+    sims = np.array([[0.5, -np.inf, 0.5, 0.1], [-np.inf, -0.0, 0.0, -0.0]])
+    idx, vals = graph._topk_rows(sims.copy(), 3)
+    assert idx.tolist() == [[0, 2, 3], [1, 2, 3]]
+    assert np.signbit(vals[1]).tolist() == [True, False, True]
+    want = topk_rows_count_reference(sims.copy(), 3)
+    assert np.array_equal(idx, want[0])
+    assert np.array_equal(vals.view(np.int64), want[1].view(np.int64))
+
+
+def test_knn_peak_memory_below_one_and_a_half_blocks():
+    # one (512, 3000) float64 block is 11.7 MiB; a second block live next
+    # to it (a fresh product while the last is still bound) breaks the cap
+    n, block = 3000, 512
+    feats = FeatureMatrix(np.random.default_rng(5).standard_normal((n, 8)))
+    tracemalloc.start()
+    try:
+        knn_neighbors(feats, 5, block=block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * block * n * 8
 
 
 def brute_force_knn(X, k):

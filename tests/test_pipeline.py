@@ -956,6 +956,25 @@ def test_cli_diverging_run_exit_code(cli_dataset, tmp_path):
     assert proc.returncode == 13, proc.stderr
 
 
+def test_cli_model_too_large_exit_code(cli_dataset, tmp_path):
+    # 10**15 hidden units fail to allocate before any page is touched
+    root, feats, labels, _ = cli_dataset
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(CLI_CONFIG.replace("hidden_width = 16", "hidden_width = %d" % 10**15))
+    proc = run_cli(
+        [
+            "correct",
+            "--features", str(feats),
+            "--labels", str(labels),
+            "--out", str(tmp_path / "out"),
+            "--config", str(cfg),
+        ]
+    )
+    assert proc.returncode == 11, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "parameters, too many to allocate" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "content, row",
     [

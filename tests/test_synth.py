@@ -228,6 +228,16 @@ def test_make_noisy_dataset_deterministic():
     assert np.array_equal(a[2], b[2])
 
 
+@pytest.mark.parametrize("kind", ["uniform", "confusing", "asymmetric"])
+def test_make_noisy_dataset_int_seed_equals_generator(kind):
+    cfg = SynthConfig(n_classes=3, per_class=5, dim=4, noise_rate=0.4, noise_kind=kind)
+    a = make_noisy_dataset(cfg, 5)
+    b = make_noisy_dataset(cfg, np.random.default_rng(5))
+    assert np.array_equal(a[0].data.view(np.int32), b[0].data.view(np.int32))
+    assert np.array_equal(a[1], b[1])
+    assert np.array_equal(a[2], b[2])
+
+
 def test_synth_config_validation():
     with pytest.raises(ValidationError):
         SynthConfig(n_classes=1)
