@@ -10,6 +10,18 @@ of rows, which also places the runner-up, the largest entry left out of
 the selection; only rows whose runner-up equals their k-th value take a
 full stable sort to settle the tie.
 
+A block holds min(512, 2**21 // n) rows, at most 16 MiB of float64, but
+never fewer than 16 rows.  When that cap binds (n > 4,096), a tail
+shorter than 16 rows joins the block before it, because a 1-row product
+is a matrix-vector product that rounds differently.  Selection works per
+row, so only the row boundaries of the products move with n.  On a
+multiple of 8 columns OpenBLAS rounds every product of 16 rows or more
+alike, and the neighbours and similarities are those of 512-row blocks
+bit for bit.  On other n above 4,096 the last n mod 8 columns go through
+an edge kernel whose rounding follows a row's place in its block, so a
+similarity to one of those nodes may differ from the 512-row search in
+its last bit.
+
 On wide blocks (n >= 64 k) a slab bound first shrinks each row to k g
 candidates.  The first g w columns are cut into g contiguous slabs of
 width w = n // g, with g = floor(sqrt(n / k) / 2), and their elementwise
@@ -44,6 +56,9 @@ import numpy as np
 import scipy.sparse
 
 from .core import ValidationError, cast_fields, require_finite
+
+# fewer GEMM rows than this may round differently from a 512-row block
+_MIN_BLOCK_ROWS = 16
 
 
 @dataclasses.dataclass
@@ -130,7 +145,9 @@ def _topk_slabs(sims, k):
     cols = (pick[:, None, :] + w * np.arange(g)[:, None]).reshape(b, g * k)
     tail = np.broadcast_to(np.arange(g * w, n), (b, n - g * w))
     cols = np.concatenate([cols, tail], axis=1)
-    local, vals = _topk_rows(np.take_along_axis(sims, cols, axis=1), k)
+    # sims is C-contiguous, so one flat take gathers every row's candidates
+    flat = cols + n * np.arange(b)[:, None]
+    local, vals = _topk_rows(np.take(sims, flat), k)
     idx = np.take_along_axis(cols, local, axis=1)
     # an unpicked slab column whose maximum equals the bound may hold a
     # lower-indexed entry tied with the k-th value
@@ -140,23 +157,41 @@ def _topk_slabs(sims, k):
     return idx, vals
 
 
-def knn_neighbors(features, k_graph, block=512):
+def _block_edges(n, block):
+    """Row edges of the similarity blocks of an n-row search: block i
+    runs from edges[i] to edges[i + 1].  An explicit block is taken as
+    given; the default follows the byte rule in the module docstring."""
+    if block is None:
+        block = max(_MIN_BLOCK_ROWS, min(512, 2**21 // n))
+        fold = block < 512
+    elif block < 1:
+        raise ValidationError("block must be >= 1")
+    else:
+        fold = False
+    edges = list(range(0, n, block)) + [n]
+    if fold and n - edges[-2] < _MIN_BLOCK_ROWS:
+        del edges[-2]
+    return edges
+
+
+def knn_neighbors(features, k_graph, block=None):
     """For each node, the k_graph most cosine-similar other nodes.
 
     Returns (neighbors, sims), each (n, k_graph), neighbour columns
-    sorted by descending similarity then ascending index.
+    sorted by descending similarity then ascending index.  `block` fixes
+    the rows per similarity block; by default blocks are sized by bytes.
     """
     n = features.n_samples
     if n < 2:
         raise ValidationError("need at least 2 samples for neighbour search")
     if not k_graph < n:
         raise ValidationError("k_graph must be < n_samples")
+    edges = _block_edges(n, block)
     unit = _normalized_features(features)
     neighbors = np.empty((n, k_graph), dtype=np.int64)
     sims = np.empty((n, k_graph))
-    buf = np.empty((min(block, n), n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    buf = np.empty((max(np.diff(edges)), n))
+    for start, stop in zip(edges[:-1], edges[1:]):
         # a leading row slice of buf is C-contiguous: still one GEMM call
         s = np.matmul(unit[start:stop], unit.T, out=buf[:stop - start])
         s[np.arange(stop - start), np.arange(start, stop)] = -np.inf

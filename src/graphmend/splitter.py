@@ -130,7 +130,10 @@ def split_dataset(features, labels, cfg, rng=None, n_classes=None):
         # package can only come last
         n_full = len(local) - (local[-1][1].shape[0] < local[0][1].shape[0])
 
-        slots = np.repeat(np.arange(M), n_full // M)
+        # never an array of length M when M > n_full (each branch then gets
+        # at most one package); the bincount below needs a leftover
+        # package, so k >= 2 and n_full >= M * B >= M there
+        slots = np.repeat(np.arange(min(M, n_full)), n_full // M)
         extra = n_full - slots.shape[0]
         if extra:
             slots = np.concatenate([slots, deal_rng.choice(M, extra, replace=False)])

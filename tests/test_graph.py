@@ -353,6 +353,70 @@ def test_knn_peak_memory_below_one_and_a_half_blocks():
     assert peak < 1.5 * block * n * 8
 
 
+def test_knn_block_rule():
+    # n <= 4,096 keeps 512-row blocks and their short tails as given
+    assert graph._block_edges(1030, None) == [0, 512, 1024, 1030]
+    assert graph._block_edges(4096, None) == list(range(0, 4097, 512))
+    # above, a block holds at most 2**21 entries (16 MiB of float64)
+    assert graph._block_edges(6000, None)[:3] == [0, 349, 698]
+    assert graph._block_edges(20000, None)[1] == 104
+    # never fewer than 16 rows; a tail under 16 rows joins the block
+    # before it: 4,800 = 10 * 436 + 440
+    assert graph._block_edges(200000, None)[1] == 16
+    assert graph._block_edges(4800, None)[-3:] == [3924, 4360, 4800]
+    assert graph._block_edges(10, 7) == [0, 7, 10]
+
+
+@pytest.mark.parametrize("block", [0, -3])
+def test_knn_block_must_be_positive(block):
+    feats = FeatureMatrix(np.eye(3))
+    with pytest.raises(ValidationError, match="block"):
+        knn_neighbors(feats, 1, block=block)
+
+
+@pytest.mark.parametrize(
+    "make,n,k",
+    [
+        (random_features, 4800, 5),
+        (random_features, 4800, 100),
+        (duplicated_features_of_size, 4800, 5),
+        (signed_zero_features, 4800, 100),
+        (random_features, 5968, 5),
+        (random_features, 5968, 100),
+    ],
+)
+def test_knn_default_blocks_equal_512_row_reference(make, n, k):
+    # above n = 4,096 the default blocks are shorter than 512 rows: 436
+    # rows at n = 4,800, whose 4-row tail is folded into the last block,
+    # and 351 rows at n = 5,968, whose 1-row tail would otherwise be a
+    # matrix-vector product that rounds differently.  Selection is per
+    # row, and on a multiple of 8 columns OpenBLAS rounds GEMMs of 16 rows
+    # or more alike, so every bit matches.  k = 5 runs the slab path,
+    # k = 100 (n < 64 k) the direct kernel
+    feats = make(np.random.default_rng(n), n)
+    assert feats.n_samples == n
+    got = knn_neighbors(feats, k)
+    want = knn_neighbors_reference(feats, k, block=512)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+
+
+@pytest.mark.parametrize("n", [6000, 12000])
+def test_knn_default_block_peak_memory_does_not_grow_with_n(n):
+    # the default block holds at most 2**21 float64 entries (16 MiB), so
+    # the peak stays near one such block plus the unit rows at every n;
+    # one 512-row block alone is 23.4 MiB at n = 6,000
+    dim = 8
+    feats = FeatureMatrix(np.random.default_rng(n).standard_normal((n, dim)))
+    tracemalloc.start()
+    try:
+        knn_neighbors(feats, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**24 + n * dim * 8
+
+
 def brute_force_knn(X, k):
     unit = X.astype(np.float64)
     unit /= np.linalg.norm(unit, axis=1)[:, None]

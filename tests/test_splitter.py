@@ -1,5 +1,7 @@
 """Packaging and dealing: partition exactness, locality, balance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,24 @@ def test_split_varies_with_seed():
         if not np.array_equal(a.branch_of, b.branch_of):
             differing += 1
     assert differing >= 1
+
+
+def test_split_branches_far_above_sample_count_allocates_nothing_large():
+    # M = 10**18 on 40 samples: every package is one sample and goes to a
+    # branch of its own, without any array of length M
+    feats = FeatureMatrix(np.random.default_rng(7).standard_normal((40, 3)))
+    labels = np.repeat(np.arange(2), 20)
+    tracemalloc.start()
+    try:
+        assignment = split_dataset(feats, labels, SplitConfig(10**18, 4, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert assignment.n_branches == 10**18
+    assert np.unique(assignment.branch_of).shape[0] == 40
+    assert (assignment.branch_of >= 0).all() and (assignment.branch_of < 10**18).all()
+    assert sorted(assignment.package_of.tolist()) == list(range(40))
 
 
 def test_split_empty_class_error():
