@@ -10,7 +10,11 @@ corrected-label loss under agreement weights, so both full-data
 branches step through grad_pseudo.  Training evaluates the smoothness
 loss only together with its gradient (pair_prob_grads).  All parameters
 of a model live in one flat vector; the layer matrices are reshaped
-views into it.
+views into it (layer_views).
+
+A model checkpoint ("MLCK") uses core's binary codec: the magic
+"MLCK", then u32 little-endian dim, hidden and n_classes, then the
+flat vector theta as float64 little-endian values.
 """
 
 import dataclasses
@@ -21,12 +25,13 @@ from .core import (
     TrainingError,
     ValidationError,
     cast_fields,
-    load_model_vector,
+    load_binary,
     require_finite,
-    save_model_vector,
+    save_binary,
 )
 
 EPS = 1e-12
+MAGIC_MODEL = b"MLCK"
 
 
 @dataclasses.dataclass
@@ -52,6 +57,20 @@ class TrainConfig:
         cast_fields(self)
 
 
+def param_count(dim, hidden, n_classes):
+    """Length of the flat parameter vector of a model."""
+    return dim * hidden + hidden + hidden * n_classes + n_classes
+
+
+def layer_views(theta, dim, hidden, n_classes):
+    """(w_embed, b_embed, w_head, b_head) as views into a flat vector."""
+    a = dim * hidden
+    b = a + hidden
+    c = b + hidden * n_classes
+    return (theta[:a].reshape(dim, hidden), theta[a:b],
+            theta[b:c].reshape(hidden, n_classes), theta[c:])
+
+
 class BranchModel:
     """Flat parameter vector with named views for each layer."""
 
@@ -59,7 +78,7 @@ class BranchModel:
         self.dim = int(dim)
         self.hidden = int(hidden)
         self.n_classes = int(n_classes)
-        size = dim * hidden + hidden + hidden * n_classes + n_classes
+        size = param_count(self.dim, self.hidden, self.n_classes)
         if theta is None:
             try:
                 theta = np.zeros(size)
@@ -76,14 +95,9 @@ class BranchModel:
                     % (theta.size, size)
                 )
         self.theta = theta
-        o = 0
-        self.w_embed = theta[o:o + dim * hidden].reshape(dim, hidden)
-        o += dim * hidden
-        self.b_embed = theta[o:o + hidden]
-        o += hidden
-        self.w_head = theta[o:o + hidden * n_classes].reshape(hidden, n_classes)
-        o += hidden * n_classes
-        self.b_head = theta[o:o + n_classes]
+        self.w_embed, self.b_embed, self.w_head, self.b_head = layer_views(
+            theta, self.dim, self.hidden, self.n_classes
+        )
         self.velocity = np.zeros(size)
 
     def clone(self):
@@ -144,13 +158,15 @@ def _softmax_backward(probs, dprobs):
 def _backprop(model, X, hidden, dlogits):
     act = np.maximum(hidden, 0.0)
     grad = np.empty_like(model.theta)
-    view = BranchModel(model.dim, model.hidden, model.n_classes, grad)
-    view.w_head[:] = act.T @ dlogits
-    view.b_head[:] = dlogits.sum(axis=0)
+    w_embed, b_embed, w_head, b_head = layer_views(
+        grad, model.dim, model.hidden, model.n_classes
+    )
+    w_head[:] = act.T @ dlogits
+    b_head[:] = dlogits.sum(axis=0)
     dact = dlogits @ model.w_head.T
     dhid = dact * (hidden > 0)
-    view.w_embed[:] = X.T @ dhid
-    view.b_embed[:] = dhid.sum(axis=0)
+    w_embed[:] = X.T @ dhid
+    b_embed[:] = dhid.sum(axis=0)
     return grad
 
 
@@ -295,9 +311,14 @@ def _sample_pair_grads(union, probs_union, state, eligible, cfg, rng):
 
 
 def save_model(path, model):
-    save_model_vector(path, model.theta, model.dim, model.hidden, model.n_classes)
+    """Write a model checkpoint (MLCK)."""
+    save_binary(path, MAGIC_MODEL, (model.dim, model.hidden, model.n_classes), "<f8",
+                model.theta)
 
 
 def load_model(path):
-    theta, dim, hidden, n_classes = load_model_vector(path)
-    return BranchModel(dim, hidden, n_classes, theta)
+    """Read a model checkpoint; a malformed file raises FormatError."""
+    (dim, hidden, n_classes), theta = load_binary(
+        path, MAGIC_MODEL, "<f8", lambda fields: param_count(*fields)
+    )
+    return BranchModel(dim, hidden, n_classes, theta.copy())

@@ -1,12 +1,17 @@
 """Domain types, error taxonomy, and bit-exact file formats.
 
-Feature binary layout: 16-byte header (ASCII magic "MLCF", u32
-little-endian sample count, u32 little-endian dimension, u32
-reserved = 0) followed by n*d IEEE-754 32-bit little-endian values in
-row-major order.  Labels are comma/newline-separated integer text with
-an optional second column holding clean labels for evaluation.  Reports
-are line-oriented text with a JSON summary block; floats are written
-with repr so parsing restores the exact binary value.
+Both binary formats share one codec (save_binary/load_binary): a
+16-byte header of a 4-byte ASCII magic and three u32 little-endian
+fields, then a little-endian payload.  Bad magic, a short header or
+payload and trailing bytes raise FormatError naming the byte offset.
+Features ("MLCF") carry the sample count, the dimension and a reserved
+0, then n*d IEEE-754 32-bit values in row-major order; model
+checkpoints ("MLCK") are laid out in branches.  Labels are
+comma/newline-separated integer text with an optional second column
+holding clean labels for evaluation.  Reports are line-oriented text
+with a JSON summary block, floats written with repr so parsing restores
+the exact binary value; one renderer writes them, and load_report
+accepts exactly the text save_report writes for the report it parses.
 """
 
 import dataclasses
@@ -17,7 +22,6 @@ import os
 import numpy as np
 
 MAGIC_FEATURES = b"MLCF"
-MAGIC_MODEL = b"MLCK"
 HEADER_SIZE = 16
 
 
@@ -180,46 +184,66 @@ class CorrectionReport:
         )
 
 
+def save_binary(path, magic, fields, dtype, payload):
+    """Write the shared binary layout: magic, the three u32 header
+    fields, then the payload's values as `dtype`."""
+    with open(path, "wb") as fh:
+        fh.write(magic + np.array(fields, dtype="<u4").tobytes())
+        fh.write(np.asarray(payload, dtype=dtype).tobytes())
+
+
+def load_binary(path, magic, dtype, count):
+    """Read a file in save_binary's layout, returning (fields, payload).
+
+    `count(fields)` gives the payload's length in `dtype` values and may
+    reject the header itself.  The payload is a read-only view of the
+    file's bytes.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if blob[:4] != magic:
+        raise BadMagicError("bad magic %r, expected %r" % (blob[:4], magic), offset=0)
+    if len(blob) < HEADER_SIZE:
+        raise TruncatedPayloadError("incomplete header", offset=len(blob))
+    fields = tuple(int(v) for v in np.frombuffer(blob[4:HEADER_SIZE], dtype="<u4"))
+    size = count(fields)
+    end = HEADER_SIZE + size * np.dtype(dtype).itemsize
+    if len(blob) < end:
+        raise TruncatedPayloadError(
+            "payload holds %d bytes, header promises %d"
+            % (len(blob) - HEADER_SIZE, end - HEADER_SIZE),
+            offset=len(blob),
+        )
+    if len(blob) > end:
+        raise FormatError("trailing bytes after payload", offset=end)
+    return fields, np.frombuffer(blob, dtype=dtype, count=size, offset=HEADER_SIZE)
+
+
 def save_features(path, features):
     """Write a FeatureMatrix in the binary feature format."""
     if not isinstance(features, FeatureMatrix):
         features = FeatureMatrix(features)
-    header = MAGIC_FEATURES + np.array(
-        [features.n_samples, features.dim, 0], dtype="<u4"
-    ).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(features.data.astype("<f4", copy=False).tobytes())
+    save_binary(path, MAGIC_FEATURES, (features.n_samples, features.dim, 0), "<f4",
+                features.data)
+
+
+def _feature_count(fields):
+    n, d, reserved = fields
+    if reserved != 0:
+        raise FormatError("reserved header field must be 0", offset=12)
+    return n * d
 
 
 def load_features(path):
     """Read a feature binary, rejecting malformed or non-finite content."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC_FEATURES:
-        raise BadMagicError("bad magic %r, expected %r" % (blob[:4], MAGIC_FEATURES), offset=0)
-    if len(blob) < HEADER_SIZE:
-        raise TruncatedPayloadError("incomplete header", offset=len(blob))
-    n, d, reserved = np.frombuffer(blob[4:HEADER_SIZE], dtype="<u4")
-    if reserved != 0:
-        raise FormatError("reserved header field must be 0", offset=12)
-    expected = HEADER_SIZE + int(n) * int(d) * 4
-    if len(blob) < expected:
-        raise TruncatedPayloadError(
-            "payload holds %d bytes, header promises %d"
-            % (len(blob) - HEADER_SIZE, expected - HEADER_SIZE),
-            offset=len(blob),
-        )
-    if len(blob) > expected:
-        raise FormatError("trailing bytes after payload", offset=expected)
-    values = np.frombuffer(blob, dtype="<f4", count=int(n) * int(d), offset=HEADER_SIZE)
+    (n, d, _), values = load_binary(path, MAGIC_FEATURES, "<f4", _feature_count)
     finite = np.isfinite(values)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise NonFiniteValueError(
             "non-finite value at element %d" % bad, offset=HEADER_SIZE + bad * 4
         )
-    return FeatureMatrix(values.reshape(int(n), int(d)))
+    return FeatureMatrix(values.reshape(n, d))
 
 
 def save_labels(path, labels, clean=None):
@@ -305,8 +329,8 @@ def check_pairing(features, labels):
         )
 
 
-def save_report(path, report):
-    """Write a CorrectionReport in the line-oriented report format."""
+def _report_text(report):
+    """The report format: the text save_report writes for `report`."""
     lines = [
         "MLCR v1",
         "epoch %d" % report.epoch,
@@ -324,17 +348,24 @@ def save_report(path, report):
         )
     )
     lines.append("summary %s" % json.dumps(report.summary(), sort_keys=True))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def save_report(path, report):
+    """Write a CorrectionReport in the line-oriented report format."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write(_report_text(report))
 
 
 def load_report(path):
     """Read a report written by save_report, restoring fields exactly.
 
-    Anything but a complete report (a non-ASCII byte, a missing final
-    newline, a missing or extra line, an unparsable field) raises
-    FormatError.
+    The epoch, the record columns and the summary's accuracy are parsed
+    leniently and the report rebuilt from them; the file must then be
+    the very text save_report writes for that report.  Anything else (a
+    non-ASCII byte, an unparsable field, a line that differs, such as a
+    summary that disagrees with the records) raises FormatError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -342,81 +373,27 @@ def load_report(path):
         text = blob.decode("ascii")
     except UnicodeDecodeError as err:
         raise FormatError("non-ASCII byte in report", offset=err.start)
-    if not text.endswith("\n"):
-        raise FormatError("report does not end with a newline", offset=len(blob))
-    lines = text[:-1].split("\n")
-    if lines[0] != "MLCR v1":
-        raise FormatError("missing report header line")
+    lines = text.split("\n")
     try:
-        (epoch_key, epoch), (n_key, n) = (line.split() for line in lines[1:3])
-        epoch, n = int(epoch), int(n)
-    except ValueError:
-        raise FormatError("malformed report header fields")
-    if epoch_key != "epoch" or n_key != "n_samples" or n < 0:
-        raise FormatError("malformed report header fields")
-    if len(lines) != n + 5:
-        raise FormatError("report for %d samples holds %d lines, expected %d"
-                          % (n, len(lines), n + 5))
-    noisy = np.empty(n, dtype=np.int64)
-    corrected = np.empty(n, dtype=np.int64)
-    confidence = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        parts = lines[4 + i].split()
-        try:
-            # unpacking exactly four integers also pins the field count at 5
-            index, noisy[i], corrected[i], changed = map(int, parts[:3] + parts[4:])
-            confidence[i] = float(parts[3])
-        except (ValueError, OverflowError):
-            index = changed = None
-        if index != i or changed != int(noisy[i] != corrected[i]):
-            raise FormatError("malformed record line %d" % (4 + i + 1))
-    summary_line = lines[4 + n]
-    if not summary_line.startswith("summary "):
-        raise FormatError("missing summary line")
-    try:
-        summary = json.loads(summary_line[len("summary "):])
-    except ValueError:
-        summary = None
-    if not isinstance(summary, dict):
-        raise FormatError("malformed report summary")
-    accuracy = summary.get("correction_accuracy")
-    if not (accuracy is None or isinstance(accuracy, (int, float))):
-        raise FormatError("malformed report summary")
-    return CorrectionReport(
-        epoch,
-        noisy,
-        corrected,
-        confidence,
-        correction_accuracy=accuracy,
-    )
-
-
-def save_model_vector(path, theta, dim, hidden, n_classes):
-    """Write a flat parameter vector with a model-shape header."""
-    theta = np.ascontiguousarray(theta, dtype=np.float64)
-    header = MAGIC_MODEL + np.array([dim, hidden, n_classes], dtype="<u4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(theta.astype("<f8", copy=False).tobytes())
-
-
-def load_model_vector(path):
-    """Read a checkpoint, returning (theta, dim, hidden, n_classes)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC_MODEL:
-        raise BadMagicError("bad magic %r, expected %r" % (blob[:4], MAGIC_MODEL), offset=0)
-    if len(blob) < HEADER_SIZE:
-        raise TruncatedPayloadError("incomplete header", offset=len(blob))
-    dim, hidden, n_classes = (int(v) for v in np.frombuffer(blob[4:HEADER_SIZE], dtype="<u4"))
-    expected = dim * hidden + hidden + hidden * n_classes + n_classes
-    payload = HEADER_SIZE + expected * 8
-    if len(blob) < payload:
-        raise TruncatedPayloadError("model payload truncated", offset=len(blob))
-    if len(blob) > payload:
-        raise FormatError("trailing bytes after payload", offset=payload)
-    theta = np.frombuffer(blob, dtype="<f8", count=expected, offset=HEADER_SIZE).copy()
-    return theta, dim, hidden, n_classes
+        rows = [line.split() for line in lines[4:-2]]
+        report = CorrectionReport(
+            int(lines[1].split()[1]),
+            [int(row[1]) for row in rows],
+            [int(row[2]) for row in rows],
+            [float(row[3]) for row in rows],
+            json.loads(lines[-2].partition(" ")[2]).get("correction_accuracy"),
+        )
+    except (IndexError, ValueError, TypeError, AttributeError, OverflowError,
+            RecursionError):
+        raise FormatError("malformed report") from None
+    expected = _report_text(report)
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        raise FormatError(
+            "report line %d differs from the report layout" % (text.count("\n", 0, at) + 1),
+            offset=at,
+        )
+    return report
 
 
 def ensure_dir(path):

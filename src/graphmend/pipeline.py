@@ -204,9 +204,7 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
     check_pairing(features, labels)
     if labels.size == 0:
         raise ValidationError("label file is empty")
-    C = int(labels.max()) + 1
-    if clean is not None:
-        C = max(C, int(np.asarray(clean).max()) + 1)
+    C = int(labels.max()) + 1  # from the noisy labels; clean ones only score
     M = cfg.split.n_branches
     n = labels.shape[0]
     if C < 2:
@@ -529,15 +527,7 @@ def _cmd_correct(args):
     reports = run_correction(
         cfg, features=features, labels=noisy, clean=clean, output_dir=args.out
     )
-    final = reports[-1]
-    line = {
-        "epochs_run": len(reports),
-        "n_changed": final.n_changed,
-        "mean_confidence": final.mean_confidence,
-    }
-    if final.correction_accuracy is not None:
-        line["correction_accuracy"] = final.correction_accuracy
-    print(json.dumps(line, sort_keys=True))
+    print(json.dumps({"epochs_run": len(reports), **reports[-1].summary()}, sort_keys=True))
     return 0
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmend import core
+from graphmend import branches, core
 
 
 def test_feature_matrix_rejects_nonfinite():
@@ -275,6 +275,14 @@ def test_report_roundtrip_random(tmp_path_factory, n, seed, acc):
     assert loaded.n_changed == report.n_changed
 
 
+@pytest.mark.parametrize("with_accuracy", [False, True])
+def test_report_roundtrip_empty(tmp_path, with_accuracy):
+    report = make_report(np.random.default_rng(0), 0, with_accuracy=with_accuracy)
+    path = tmp_path / "r.txt"
+    core.save_report(path, report)
+    assert core.load_report(path) == report
+
+
 def test_report_zero_changes(tmp_path):
     labels = np.array([1, 2, 0], dtype=np.int64)
     report = core.CorrectionReport(1, labels, labels.copy(), np.ones(3))
@@ -337,6 +345,8 @@ def test_labels_truncated_or_flipped_raise_only_package_errors(tmp_path, clean, 
     (b"\n1 ", b"\n7 "),
     (b"\n0 ", b"\n\xff "),
     (b"\nsummary", b"\n2 0 0 0.5 0\nsummary"),
+    # a summary that disagrees with the records
+    (b'"n_changed": ', b'"n_changed": 1'),
 ])
 def test_report_garbled_is_format_error(tmp_path, old, new):
     path = tmp_path / "r.txt"
@@ -362,8 +372,9 @@ def test_model_vector_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     theta = rng.standard_normal(2 * 3 + 3 + 3 * 4 + 4)
     path = tmp_path / "m.bin"
-    core.save_model_vector(path, theta, 2, 3, 4)
-    loaded, dim, hidden, n_classes = core.load_model_vector(path)
+    branches.save_model(path, branches.BranchModel(2, 3, 4, theta))
+    model = branches.load_model(path)
+    loaded, dim, hidden, n_classes = model.theta, model.dim, model.hidden, model.n_classes
     assert (dim, hidden, n_classes) == (2, 3, 4)
     assert np.array_equal(loaded, theta)
 
@@ -387,12 +398,12 @@ def write_feature_file(path):
 
 def write_model_file(path):
     theta = np.random.default_rng(7).standard_normal(1 * 2 + 2 + 2 * 2 + 2)
-    core.save_model_vector(path, theta, 1, 2, 2)
+    branches.save_model(path, branches.BranchModel(1, 2, 2, theta))
 
 
 @pytest.mark.parametrize(
     "write, load",
-    [(write_feature_file, core.load_features), (write_model_file, core.load_model_vector)],
+    [(write_feature_file, core.load_features), (write_model_file, branches.load_model)],
     ids=["MLCF", "MLCK"],
 )
 def test_binary_truncated_or_replaced_raise_only_package_errors(tmp_path, write, load):
@@ -410,3 +421,28 @@ def test_binary_truncated_or_replaced_raise_only_package_errors(tmp_path, write,
             load(cut)
         except core.GraphmendError:
             pass
+
+
+def test_report_truncated_or_replaced_is_format_error_or_rewrites_itself(tmp_path):
+    path = tmp_path / "r.txt"
+    labels = np.array([0, 1], dtype=np.int64)
+    core.save_report(path, core.CorrectionReport(3, labels, labels[::-1], [0.5, 1.0], 0.25))
+    prefixes, replaced = prefixes_and_replaced_bytes(path.read_bytes())
+    cut, back = tmp_path / "cut.txt", tmp_path / "back.txt"
+    for variant in prefixes:
+        cut.write_bytes(variant)
+        with pytest.raises(core.FormatError):
+            core.load_report(cut)
+    loaded = 0
+    for variant in replaced:
+        cut.write_bytes(variant)
+        try:
+            report = core.load_report(cut)
+        except core.FormatError:
+            continue
+        # a variant that loads is the very text save_report writes for it
+        core.save_report(back, report)
+        assert back.read_bytes() == variant
+        loaded += 1
+    # flipping the low bit of the epoch digit, for one, gives another report
+    assert loaded > 0

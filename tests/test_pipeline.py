@@ -737,6 +737,44 @@ def test_cli_byte_identical_reruns(cli_dataset):
         assert a == b, rel
 
 
+def test_run_class_count_comes_from_noisy_labels():
+    # a clean column may hold a class the noisy labels lack; it only scores
+    feats, noisy, clean = noisy_blobs(seed=13, per_class=30)
+    clean = clean.copy()
+    clean[0] = 3
+    cfg = small_cfg(seed=13)
+    scored = run_correction(cfg, features=feats, labels=noisy, clean=clean)
+    plain = run_correction(cfg, features=feats, labels=noisy)
+    assert len(scored) == len(plain)
+    for a, b in zip(scored, plain):
+        assert a.correction_accuracy is not None
+        assert np.array_equal(a.corrected, b.corrected)
+        assert np.array_equal(a.confidence, b.confidence)
+
+
+def test_cli_correct_prints_the_final_summary(cli_dataset, tmp_path):
+    root, feats, labels, cfg = cli_dataset
+    noisy, clean = load_label_columns(str(labels))
+    clean[0] = noisy.max() + 1
+    extra = tmp_path / "extra.csv"
+    save_labels(str(extra), noisy, clean)
+    out = tmp_path / "run"
+    proc = run_cli(
+        [
+            "correct",
+            "--features", str(feats),
+            "--labels", str(extra),
+            "--out", str(out),
+            "--config", str(cfg),
+            "--seed", "12",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    final = load_report(str(out / "epoch_2" / "report.txt"))
+    assert line == {"epochs_run": 2, **final.summary()}
+
+
 def test_cli_split_dump(cli_dataset):
     root, feats, labels, cfg = cli_dataset
     out = root / "split.txt"
