@@ -156,13 +156,24 @@ class CorrectionReport:
         self.confidence = np.asarray(confidence, dtype=np.float64)
         if not (self.noisy.shape == self.corrected.shape == self.confidence.shape):
             raise ValidationError("report arrays must share one length")
-        self.changed = self.corrected != self.noisy
         self.n_samples = self.noisy.shape[0]
-        self.n_changed = int(self.changed.sum())
-        self.mean_confidence = float(self.confidence.mean()) if self.n_samples else 0.0
         self.correction_accuracy = (
             None if correction_accuracy is None else float(correction_accuracy)
         )
+
+    # read off the current arrays, so a summary never goes stale when a
+    # caller changes them after construction
+    @property
+    def changed(self):
+        return self.corrected != self.noisy
+
+    @property
+    def n_changed(self):
+        return int(self.changed.sum())
+
+    @property
+    def mean_confidence(self):
+        return float(self.confidence.mean()) if self.n_samples else 0.0
 
     def summary(self):
         out = {

@@ -5,10 +5,13 @@ Neighbour search is exact: each node keeps the k most cosine-similar
 other nodes, ordered by descending similarity, with equal similarities
 (0.0 and -0.0 included) going to the lower index.  Similarities are
 computed block by block of rows into one buffer allocated per call, so
-only one block is ever live.  Selection costs one argpartition per block
-of rows, which also places the runner-up, the largest entry left out of
-the selection; only rows whose runner-up equals their k-th value take a
-full stable sort to settle the tie.
+only one block is ever live.  Selection costs one argpartition per chunk
+of at most 2**17 entries (1 MiB of int64 indices; the chunk height
+follows from n), which also places the runner-up, the largest entry left
+out of the selection, so no selection scratch grows with a block's rows
+times n.  Only rows whose runner-up equals their k-th value need their
+tie settled: such a row gathers its entries >= the k-th value and sorts
+just those by descending value, then ascending column.
 
 A block holds min(512, 2**21 // n) rows, at most 16 MiB of float64, but
 never fewer than 16 rows.  When that cap binds (n > 4,096), a tail
@@ -29,7 +32,8 @@ maximum gives w slab-column maxima.  The k-th largest maximum is a lower
 bound on the row's k-th value, so every top-k entry, and every entry
 tied with the k-th value, lies in the k picked slab columns or in the
 n - g w tail columns, unless an unpicked slab column's maximum equals
-the bound; such rows take the full stable sort.  The candidates keep
+the bound; such rows settle their tie on the whole row as above, from
+the candidates' k-th value, which is the row's.  The candidates keep
 ascending column order, so the argpartition kernel run on them hands
 ties to the lower index exactly as on the whole row.  Narrower blocks
 (global graphs with k = 50 at n = 2,000, for one) go straight to the
@@ -59,6 +63,8 @@ from .core import ValidationError, cast_fields, require_finite
 
 # fewer GEMM rows than this may round differently from a 512-row block
 _MIN_BLOCK_ROWS = 16
+# entries per selection chunk: 1 MiB of int64 indices
+_CHUNK_ENTRIES = 2**17
 
 
 @dataclasses.dataclass
@@ -81,7 +87,16 @@ def _normalized_features(features):
     bad = np.flatnonzero(norms == 0)
     if bad.size:
         raise ValidationError("zero-norm feature vector at index %d" % bad[0])
-    return rows / norms[:, None]
+    # astype made a copy of our own, so the divide needs no second one
+    rows /= norms[:, None]
+    return rows
+
+
+def _row_chunks(b, n):
+    """Row slices of a (b, n) array holding at most 2**17 entries each,
+    so an int64 array of one chunk's shape takes at most 1 MiB."""
+    h = max(1, _CHUNK_ENTRIES // n)
+    return [slice(r, r + h) for r in range(0, b, h)]
 
 
 def _topk_rows(sims, k):
@@ -89,17 +104,19 @@ def _topk_rows(sims, k):
 
     Returns (indices, values) with columns ordered by descending value
     and ascending index within equal values; 0.0 and -0.0 count as equal.
-    One argpartition picks k largest entries per row and, next to them,
-    the runner-up: the largest entry left out, which no other left-out
-    entry exceeds.  When the runner-up is below the row's k-th value, the
+    One argpartition per row chunk (see _row_chunks: 65 rows at
+    n = 2,000) picks k largest entries per row and, next to them, the
+    runner-up: the largest entry left out, which no other left-out entry
+    exceeds.  Only the k + 1 kept columns of a chunk's index array
+    outlive it.  When the runner-up is below the row's k-th value, the
     pick is the only valid set and sorting it finishes the row.  Rows
-    whose runner-up equals the k-th value are tied across the cut and are
-    redone with one stable sort of the whole row, which hands the tied
-    slots to the lowest indices.
+    whose runner-up equals the k-th value are tied across the cut and go
+    to _repair_ties, which hands the tied slots to the lowest indices.
     """
-    n = sims.shape[1]
-    # copy the k + 1 kept columns so the full index array is freed at once
-    part = np.argpartition(sims, n - k - 1, axis=1)[:, n - k - 1:].copy()
+    b, n = sims.shape
+    part = np.empty((b, k + 1), dtype=np.int64)
+    for rows in _row_chunks(b, n):
+        part[rows] = np.argpartition(sims[rows], n - k - 1, axis=1)[:, n - k - 1:]
     runner_up = np.take_along_axis(sims, part[:, :1], axis=1)[:, 0]
     idx = np.sort(part[:, 1:], axis=1)
     vals = np.take_along_axis(sims, idx, axis=1)
@@ -107,16 +124,30 @@ def _topk_rows(sims, k):
     order = np.argsort(-vals, axis=1, kind="stable")
     idx = np.take_along_axis(idx, order, axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
-    tied = np.flatnonzero(runner_up >= vals[:, -1])
-    if tied.size:
-        idx[tied], vals[tied] = _sorted_topk(sims[tied], k)
+    _repair_ties(sims, np.flatnonzero(runner_up >= vals[:, -1]), idx, vals)
     return idx, vals
 
 
-def _sorted_topk(rows, k):
-    """Top k of each row by one stable sort of the whole row."""
-    idx = np.argsort(-rows, axis=1, kind="stable")[:, :k]
-    return idx, np.take_along_axis(rows, idx, axis=1)
+def _repair_ties(sims, tied, idx, vals):
+    """Redo rows `tied` of (idx, vals) in place, whose k-th value
+    vals[:, -1] is right but whose pick may not hold the lowest indices
+    tied with it.  Per row chunk, the entries >= the k-th value are
+    gathered in ascending column order, ordered by descending value and
+    then ascending column, and the first k kept: the order of one stable
+    sort of the whole row, at the cost of the entries that can be picked."""
+    k = idx.shape[1]
+    for rows in _row_chunks(tied.size, sims.shape[1]):
+        t = tied[rows]
+        block = sims[t]
+        r, c = np.nonzero(block >= vals[t, -1:])
+        v = block[r, c]
+        order = np.lexsort((c, -v, r))
+        # rows hold at least k such entries each; row i's run starts at starts[i]
+        counts = np.bincount(r, minlength=t.size)
+        starts = np.cumsum(counts) - counts
+        pick = order[starts[:, None] + np.arange(k)]
+        idx[t] = c[pick]
+        vals[t] = v[pick]
 
 
 def _slab_count(n, k):
@@ -150,10 +181,10 @@ def _topk_slabs(sims, k):
     local, vals = _topk_rows(np.take(sims, flat), k)
     idx = np.take_along_axis(cols, local, axis=1)
     # an unpicked slab column whose maximum equals the bound may hold a
-    # lower-indexed entry tied with the k-th value
-    tied = np.flatnonzero(runner_up >= bound)
-    if tied.size:
-        idx[tied], vals[tied] = _sorted_topk(sims[tied], k)
+    # lower-indexed entry tied with the k-th value.  The candidates' k-th
+    # value is still the row's: every unpicked slab column is <= the
+    # bound, and the bound is <= that value
+    _repair_ties(sims, np.flatnonzero(runner_up >= bound), idx, vals)
     return idx, vals
 
 

@@ -178,11 +178,19 @@ def save_suggestions(path, suggestions):
         )
         for m in range(M):
             for j in range(M):
+                # each weight bit pattern is formatted once, so 0.0 and
+                # -0.0 keep their own text
+                bits, at = np.unique(
+                    suggestions.weights[m, j].ravel().view(np.int64), return_inverse=True
+                )
+                weight_text = np.array(
+                    ["%r\n" % w for w in bits.view(np.float64).tolist()], dtype=object
+                )
                 columns = (
                     itertools.repeat("%d %d " % (m, j)),
                     rows,
                     label_text[suggestions.labels[m, j].ravel() + 1].tolist(),
-                    ("%r\n" % w for w in suggestions.weights[m, j].ravel().tolist()),
+                    weight_text[at].tolist(),
                 )
                 fh.write("".join(map("".join, zip(*columns))))
 
@@ -202,6 +210,10 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
         raise ValidationError("run_correction needs features and labels")
     labels = np.asarray(labels, dtype=np.int64)
     check_pairing(features, labels)
+    if clean is not None:
+        clean = np.asarray(clean, dtype=np.int64)
+        if clean.shape != labels.shape:
+            raise ValidationError("label arrays differ in length")
     if labels.size == 0:
         raise ValidationError("label file is empty")
     C = int(labels.max()) + 1  # from the noisy labels; clean ones only score

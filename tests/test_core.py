@@ -264,6 +264,20 @@ def test_report_roundtrip(tmp_path):
     assert core.load_report(path) == report
 
 
+def test_report_roundtrip_after_arrays_change(tmp_path):
+    # the summary follows arrays changed after construction, so the saved
+    # file still agrees with its records and loads back
+    rng = np.random.default_rng(8)
+    report = make_report(rng, 23)
+    report.confidence[:] = rng.random(23)
+    report.corrected[:5] = report.noisy[:5] + 1
+    path = tmp_path / "r.txt"
+    core.save_report(path, report)
+    loaded = core.load_report(path)
+    assert loaded == report
+    assert loaded.summary() == report.summary()
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 30), seed=st.integers(0, 2**31), acc=st.booleans())
 def test_report_roundtrip_random(tmp_path_factory, n, seed, acc):

@@ -238,6 +238,31 @@ def test_correction_run_equals_reference_topk_run(monkeypatch):
     assert run() == real
 
 
+def sorted_topk_reference(rows, k):
+    """Top k of each row by one stable sort of the whole row: the tie
+    repair that graph._repair_ties replaced."""
+    idx = np.argsort(-rows, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(rows, idx, axis=1)
+
+
+@pytest.mark.parametrize("make", [signed_zero_rows, equal_rows, decimal_rows])
+def test_tie_repair_equals_full_row_stable_sort(make):
+    # every row is repaired from its k-th value alone; n = 3,000 spreads
+    # 100 rows over three 43-row chunks
+    rng = np.random.default_rng(6)
+    for b, n in ((1, 2), (7, 40), (100, 3000)):
+        sims = make(rng, b, n)
+        sims[np.arange(b), np.arange(b)] = -np.inf
+        for k in {min(5, n - 1), 1, n // 2, n - 1}:
+            want_idx, want_vals = sorted_topk_reference(sims, k)
+            idx = np.zeros((b, k), dtype=np.int64)
+            vals = np.zeros((b, k))
+            vals[:, -1] = want_vals[:, -1]
+            graph._repair_ties(sims, np.arange(b), idx, vals)
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(vals.view(np.int64), want_vals.view(np.int64))
+
+
 def topk_rows_count_reference(sims, k):
     """graph._topk_rows as it was before it read ties off its own
     partition: the tie test counts every entry >= the k-th value."""
@@ -250,7 +275,7 @@ def topk_rows_count_reference(sims, k):
     kth = vals[:, -1:]
     tied = np.flatnonzero(np.count_nonzero(sims >= kth, axis=1) > k)
     if tied.size:
-        idx[tied], vals[tied] = graph._sorted_topk(sims[tied], k)
+        idx[tied], vals[tied] = sorted_topk_reference(sims[tied], k)
     return idx, vals
 
 
@@ -272,7 +297,7 @@ def topk_slabs_count_reference(sims, k):
     idx = np.take_along_axis(cols, local, axis=1)
     tied = np.flatnonzero(np.count_nonzero(maxima >= bound, axis=1) > k)
     if tied.size:
-        idx[tied], vals[tied] = graph._sorted_topk(sims[tied], k)
+        idx[tied], vals[tied] = sorted_topk_reference(sims[tied], k)
     return idx, vals
 
 
@@ -301,6 +326,10 @@ def duplicated_features_of_size(rng, n):
     return duplicated_features(rng, distinct=n // 5, copies=5)
 
 
+def equal_features(rng, n):
+    return FeatureMatrix(np.tile(rng.standard_normal(6), (n, 1)))
+
+
 def signed_zero_features(rng, n):
     data = rng.integers(-1, 2, (n, 4)).astype(np.float64)
     zero = data == 0
@@ -310,7 +339,8 @@ def signed_zero_features(rng, n):
 
 
 @pytest.mark.parametrize(
-    "make", [random_features, duplicated_features_of_size, signed_zero_features]
+    "make",
+    [random_features, duplicated_features_of_size, signed_zero_features, equal_features],
 )
 @pytest.mark.parametrize("n", [40, 335, 700])
 @pytest.mark.parametrize("block", [7, 512])
@@ -339,18 +369,32 @@ def test_topk_runner_up_is_minus_inf_diagonal():
     assert np.array_equal(vals.view(np.int64), want[1].view(np.int64))
 
 
+def knn_peak_bytes(feats, k, block=None):
+    tracemalloc.start()
+    try:
+        knn_neighbors(feats, k, block=block)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_knn_peak_memory_below_one_and_a_half_blocks():
     # one (512, 3000) float64 block is 11.7 MiB; a second block live next
     # to it (a fresh product while the last is still bound) breaks the cap
     n, block = 3000, 512
     feats = FeatureMatrix(np.random.default_rng(5).standard_normal((n, 8)))
-    tracemalloc.start()
-    try:
-        knn_neighbors(feats, 5, block=block)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * block * n * 8
+    assert graph._slab_count(n, 5) > 0
+    assert knn_peak_bytes(feats, 5, block) < 1.5 * block * n * 8
+
+
+def test_knn_direct_path_peak_memory_below_one_and_a_half_blocks():
+    # k = 50 at n = 3,000 < 64 k selects on the whole block; an
+    # argpartition index array of the block's shape, 11.7 MiB of int64,
+    # live next to it breaks the cap
+    n, block = 3000, 512
+    feats = FeatureMatrix(np.random.default_rng(5).standard_normal((n, 8)))
+    assert graph._slab_count(n, 50) == 0
+    assert knn_peak_bytes(feats, 50, block) < 1.5 * block * n * 8
 
 
 def test_knn_block_rule():
@@ -408,13 +452,7 @@ def test_knn_default_block_peak_memory_does_not_grow_with_n(n):
     # one 512-row block alone is 23.4 MiB at n = 6,000
     dim = 8
     feats = FeatureMatrix(np.random.default_rng(n).standard_normal((n, dim)))
-    tracemalloc.start()
-    try:
-        knn_neighbors(feats, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**24 + n * dim * 8
+    assert knn_peak_bytes(feats, 5) < 1.5 * 2**24 + n * dim * 8
 
 
 def brute_force_knn(X, k):

@@ -403,21 +403,24 @@ def fail_on_call(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "labels, M, match",
+    "labels, clean, M, match",
     [
-        (np.zeros(10, dtype=np.int64), 3, "labels hold 1 class; correction needs at least 2"),
-        (np.repeat([0, 1], 5), 11, "n_branches 11 exceeds the sample count 10"),
+        (np.zeros(10, dtype=np.int64), None, 3,
+         "labels hold 1 class; correction needs at least 2"),
+        (np.repeat([0, 1], 5), None, 11, "n_branches 11 exceeds the sample count 10"),
+        (np.repeat([0, 1], 5), np.repeat([0, 1], 5)[:-1], 2,
+         "label arrays differ in length"),
     ],
-    ids=["single-class", "branches-above-samples"],
+    ids=["single-class", "branches-above-samples", "clean-shorter-than-labels"],
 )
-def test_run_rejects_bad_inputs_before_any_model(monkeypatch, labels, M, match):
+def test_run_rejects_bad_inputs_before_any_model(monkeypatch, labels, clean, M, match):
     monkeypatch.setattr(pipeline, "init_model", fail_on_call)
     monkeypatch.setattr(pipeline, "train_epoch", fail_on_call)
     feats = FeatureMatrix(np.random.default_rng(0).standard_normal((10, 3)))
     cfg = small_cfg(M=M)
     cfg.graph = GraphConfig(k_graph=3)
     with pytest.raises(ValidationError, match=match):
-        run_correction(cfg, features=feats, labels=labels)
+        run_correction(cfg, features=feats, labels=labels, clean=clean)
 
 
 def test_run_rejects_missing_inputs():
