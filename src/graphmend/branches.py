@@ -296,8 +296,14 @@ def _sample_pair_grads(union, probs_union, state, eligible, cfg, rng):
     if (classes == classes[0]).all():
         return dprobs, 0.0
     count = cfg.pair_sample_count
-    s = ok[rng.integers(ok.shape[0], size=count)]
-    t = ok[rng.integers(ok.shape[0], size=count)]
+    try:
+        s = ok[rng.integers(ok.shape[0], size=count)]
+        t = ok[rng.integers(ok.shape[0], size=count)]
+    except (MemoryError, ValueError):
+        # ValueError: more entries than numpy's maximum array size
+        raise ValidationError(
+            "pair_sample_count %d: too many pairs to allocate" % count
+        ) from None
     cross = state.corrected[union[s]] != state.corrected[union[t]]
     s, t = s[cross], t[cross]
     if s.shape[0] == 0:

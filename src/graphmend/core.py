@@ -23,6 +23,8 @@ import numpy as np
 
 MAGIC_FEATURES = b"MLCF"
 HEADER_SIZE = 16
+# the largest value a u32 header field holds
+FIELD_MAX = 2**32 - 1
 
 
 class GraphmendError(Exception):

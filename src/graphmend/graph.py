@@ -13,17 +13,15 @@ times n.  Only rows whose runner-up equals their k-th value need their
 tie settled: such a row gathers its entries >= the k-th value and sorts
 just those by descending value, then ascending column.
 
-A block holds min(512, 2**21 // n) rows, at most 16 MiB of float64, but
-never fewer than 16 rows.  When that cap binds (n > 4,096), a tail
-shorter than 16 rows joins the block before it, because a 1-row product
-is a matrix-vector product that rounds differently.  Selection works per
-row, so only the row boundaries of the products move with n.  On a
-multiple of 8 columns OpenBLAS rounds every product of 16 rows or more
-alike, and the neighbours and similarities are those of 512-row blocks
-bit for bit.  On other n above 4,096 the last n mod 8 columns go through
-an edge kernel whose rounding follows a row's place in its block, so a
-similarity to one of those nodes may differ from the 512-row search in
-its last bit.
+Each GEMM runs on a column count padded to a multiple of 16: the unit
+rows are followed by zero rows up to that count, and the pad columns of
+every block are set to -inf like the diagonal, so they are never picked.
+A block holds max(2, min(512, 2**21 // n)) rows, at most 16 MiB of
+float64, and a 1-row tail joins the block before it, because a 1-row
+product is a matrix-vector product that rounds differently.  With no
+edge columns, OpenBLAS rounds every product of 2 rows or more alike, so
+the similarities are the same bits for every block split and BLAS
+thread count.
 
 On wide blocks (n >= 64 k) a slab bound first shrinks each row to k g
 candidates.  The first g w columns are cut into g contiguous slabs of
@@ -61,8 +59,6 @@ import scipy.sparse
 
 from .core import ValidationError, cast_fields, require_finite
 
-# fewer GEMM rows than this may round differently from a 512-row block
-_MIN_BLOCK_ROWS = 16
 # entries per selection chunk: 1 MiB of int64 indices
 _CHUNK_ENTRIES = 2**17
 
@@ -82,13 +78,16 @@ class GraphConfig:
 
 
 def _normalized_features(features):
-    rows = features.data.astype(np.float64)
-    norms = np.linalg.norm(rows, axis=1)
+    """Unit rows as float64, then zero rows up to a multiple of 16."""
+    n = features.n_samples
+    rows = np.zeros((-(-n // 16) * 16, features.dim))
+    unit = rows[:n]
+    unit[...] = features.data
+    norms = np.linalg.norm(unit, axis=1)
     bad = np.flatnonzero(norms == 0)
     if bad.size:
         raise ValidationError("zero-norm feature vector at index %d" % bad[0])
-    # astype made a copy of our own, so the divide needs no second one
-    rows /= norms[:, None]
+    unit /= norms[:, None]
     return rows
 
 
@@ -190,17 +189,14 @@ def _topk_slabs(sims, k):
 
 def _block_edges(n, block):
     """Row edges of the similarity blocks of an n-row search: block i
-    runs from edges[i] to edges[i + 1].  An explicit block is taken as
-    given; the default follows the byte rule in the module docstring."""
+    runs from edges[i] to edges[i + 1].  `block` rows per block, by
+    default sized by bytes; a 1-row tail joins the block before it."""
     if block is None:
-        block = max(_MIN_BLOCK_ROWS, min(512, 2**21 // n))
-        fold = block < 512
+        block = max(2, min(512, 2**21 // n))
     elif block < 1:
         raise ValidationError("block must be >= 1")
-    else:
-        fold = False
     edges = list(range(0, n, block)) + [n]
-    if fold and n - edges[-2] < _MIN_BLOCK_ROWS:
+    if n - edges[-2] == 1:
         del edges[-2]
     return edges
 
@@ -221,11 +217,12 @@ def knn_neighbors(features, k_graph, block=None):
     unit = _normalized_features(features)
     neighbors = np.empty((n, k_graph), dtype=np.int64)
     sims = np.empty((n, k_graph))
-    buf = np.empty((max(np.diff(edges)), n))
+    buf = np.empty((max(np.diff(edges)), unit.shape[0]))
     for start, stop in zip(edges[:-1], edges[1:]):
         # a leading row slice of buf is C-contiguous: still one GEMM call
         s = np.matmul(unit[start:stop], unit.T, out=buf[:stop - start])
         s[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        s[:, n:] = -np.inf
         idx, vals = _topk_slabs(s, k_graph)
         neighbors[start:stop] = idx
         sims[start:stop] = vals

@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import FeatureMatrix, ValidationError, cast_fields, require_finite
+from .core import FIELD_MAX, FeatureMatrix, ValidationError, cast_fields, require_finite
 
 NOISE_KINDS = ("uniform", "confusing", "asymmetric", "none")
 
@@ -34,6 +34,11 @@ class SynthConfig:
             raise ValidationError("need at least 2 classes")
         if self.per_class < 1 or self.dim < 1:
             raise ValidationError("per_class and dim must be positive")
+        # the feature file's header holds the sample count and dim as u32
+        if self.n_classes * self.per_class > FIELD_MAX or self.dim > FIELD_MAX:
+            raise ValidationError(
+                "n_classes * per_class and dim must be at most %d" % FIELD_MAX
+            )
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValidationError("noise_rate must lie in [0, 1)")
         if self.noise_kind not in NOISE_KINDS:
@@ -57,11 +62,19 @@ def class_centroids(cfg, rng):
 
 
 def _blobs_with_centroids(cfg, rng):
-    centroids = class_centroids(cfg, rng)
     n = cfg.n_classes * cfg.per_class
-    labels = np.repeat(np.arange(cfg.n_classes), cfg.per_class)
-    points = centroids[labels] + rng.standard_normal((n, cfg.dim))
-    return FeatureMatrix(points), labels.astype(np.int64), centroids
+    try:
+        centroids = class_centroids(cfg, rng)
+        # the (n, dim) draw comes first: an oversized one fails untouched
+        points = rng.standard_normal((n, cfg.dim))
+        labels = np.repeat(np.arange(cfg.n_classes), cfg.per_class)
+        points += centroids[labels]
+        return FeatureMatrix(points), labels.astype(np.int64), centroids
+    except (MemoryError, ValueError):
+        # ValueError: more entries than numpy's maximum array size
+        raise ValidationError(
+            "%d samples of dimension %d are too many to allocate" % (n, cfg.dim)
+        ) from None
 
 
 def make_blobs(cfg, rng=None):

@@ -1,5 +1,8 @@
 """Neighbour search, adjacency weights, symmetric normalization."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -303,7 +306,8 @@ def topk_slabs_count_reference(sims, k):
 
 def knn_neighbors_reference(features, k_graph, block=512):
     """knn_neighbors as it was before it reused one similarity buffer:
-    a fresh product per block and the counting tie tests."""
+    a fresh product per block and the counting tie tests, on the same
+    padded unit rows."""
     n = features.n_samples
     unit = graph._normalized_features(features)
     neighbors = np.empty((n, k_graph), dtype=np.int64)
@@ -312,6 +316,7 @@ def knn_neighbors_reference(features, k_graph, block=512):
         stop = min(start + block, n)
         s = unit[start:stop] @ unit.T
         s[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        s[:, n:] = -np.inf
         idx, vals = topk_slabs_count_reference(s, k_graph)
         neighbors[start:stop] = idx
         sims[start:stop] = vals
@@ -398,17 +403,20 @@ def test_knn_direct_path_peak_memory_below_one_and_a_half_blocks():
 
 
 def test_knn_block_rule():
-    # n <= 4,096 keeps 512-row blocks and their short tails as given
+    # n <= 4,096 keeps 512-row blocks and tails of 2 rows or more
     assert graph._block_edges(1030, None) == [0, 512, 1024, 1030]
     assert graph._block_edges(4096, None) == list(range(0, 4097, 512))
-    # above, a block holds at most 2**21 entries (16 MiB of float64)
+    # above, a block holds at most 2**21 entries (16 MiB of float64), but
+    # never fewer than 2 rows
     assert graph._block_edges(6000, None)[:3] == [0, 349, 698]
     assert graph._block_edges(20000, None)[1] == 104
-    # never fewer than 16 rows; a tail under 16 rows joins the block
-    # before it: 4,800 = 10 * 436 + 440
-    assert graph._block_edges(200000, None)[1] == 16
-    assert graph._block_edges(4800, None)[-3:] == [3924, 4360, 4800]
+    assert graph._block_edges(200000, None)[:3] == [0, 10, 20]
+    # 4,800 = 11 * 436 + 4 keeps its 4-row tail
+    assert graph._block_edges(4800, None)[-3:] == [4360, 4796, 4800]
     assert graph._block_edges(10, 7) == [0, 7, 10]
+    # a 1-row tail, default or explicit, joins the block before it
+    assert graph._block_edges(513, None) == [0, 513]
+    assert graph._block_edges(50, 7)[-2:] == [42, 50]
 
 
 @pytest.mark.parametrize("block", [0, -3])
@@ -431,12 +439,11 @@ def test_knn_block_must_be_positive(block):
 )
 def test_knn_default_blocks_equal_512_row_reference(make, n, k):
     # above n = 4,096 the default blocks are shorter than 512 rows: 436
-    # rows at n = 4,800, whose 4-row tail is folded into the last block,
-    # and 351 rows at n = 5,968, whose 1-row tail would otherwise be a
-    # matrix-vector product that rounds differently.  Selection is per
-    # row, and on a multiple of 8 columns OpenBLAS rounds GEMMs of 16 rows
-    # or more alike, so every bit matches.  k = 5 runs the slab path,
-    # k = 100 (n < 64 k) the direct kernel
+    # rows at n = 4,800, with a 4-row tail, and 351 rows at n = 5,968,
+    # whose 1-row tail joins the block before it.  Selection is per row,
+    # and on columns padded to a multiple of 16 OpenBLAS rounds GEMMs of
+    # 2 rows or more alike, so every bit matches.  k = 5 runs the slab
+    # path, k = 100 (n < 64 k) the direct kernel
     feats = make(np.random.default_rng(n), n)
     assert feats.n_samples == n
     got = knn_neighbors(feats, k)
@@ -494,12 +501,47 @@ def test_knn_ties_prefer_lower_index():
 def test_knn_blocking_invariant():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 4)).astype(np.float32)
+    # 50 = 7 * 7 + 1: the 1-row tail joins the last 7-row block
     a = knn_neighbors(FeatureMatrix(X), 5, block=7)
     b = knn_neighbors(FeatureMatrix(X), 5, block=512)
     assert np.array_equal(a[0], b[0])
-    # the matmul kernel may differ between block shapes, so values are
-    # compared to tolerance rather than bit for bit
-    assert np.allclose(a[1], b[1], atol=1e-12)
+    assert np.array_equal(a[1].view(np.int64), b[1].view(np.int64))
+
+
+# writes each n's neighbours and similarities to the .npz file argv[1]
+KNN_CHILD = """
+import sys
+import numpy as np
+from graphmend.core import FeatureMatrix
+from graphmend.graph import knn_neighbors
+out = {}
+for n in (2003, 6003):
+    X = np.random.default_rng(n).standard_normal((n, 64)).astype(np.float32)
+    out["idx%d" % n], out["sims%d" % n] = knn_neighbors(FeatureMatrix(X), 5)
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_knn_bits_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count at load time, so each count gets a
+    # process of its own.  Neither n is a multiple of 8; 2,003 runs
+    # 512-row default blocks, 6,003 byte-capped 349-row ones
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / ("threads%s.npz" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", KNN_CHILD, str(path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(np.load(path))
+    one, two = runs
+    for n in (2003, 6003):
+        assert np.array_equal(one["idx%d" % n], two["idx%d" % n])
+        assert np.array_equal(
+            one["sims%d" % n].view(np.int64), two["sims%d" % n].view(np.int64)
+        )
 
 
 def test_knn_orthogonal_sims_zero():

@@ -1016,6 +1016,27 @@ def test_cli_model_too_large_exit_code(cli_dataset, tmp_path):
     assert "parameters, too many to allocate" in proc.stderr
 
 
+def test_main_pair_sample_count_too_large_exit_code(cli_dataset, tmp_path, capsys):
+    # 2**62 pairs exceed numpy's largest array, so the draw fails before
+    # any page is touched
+    root, feats, labels, _ = cli_dataset
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        CLI_CONFIG.replace("pair_sample_count = 64", "pair_sample_count = %d" % 2**62)
+    )
+    code = pipeline.main(
+        [
+            "correct",
+            "--features", str(feats),
+            "--labels", str(labels),
+            "--out", str(tmp_path / "out"),
+            "--config", str(cfg),
+        ]
+    )
+    assert code == 11
+    assert "pair_sample_count %d: too many pairs" % 2**62 in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "content, row",
     [

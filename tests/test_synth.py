@@ -1,5 +1,8 @@
 """Synthetic blobs and the three noise injectors."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -245,6 +248,54 @@ def test_synth_config_validation():
         SynthConfig(noise_rate=1.0)
     with pytest.raises(ValidationError):
         SynthConfig(noise_kind="salty")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"per_class": 2**62},
+        {"n_classes": 2**62},
+        {"dim": 2**62},
+        {"n_classes": 2, "per_class": 2**31},
+        {"dim": 2**32},
+    ],
+)
+def test_synth_config_rejects_sizes_beyond_u32_header(fields):
+    with pytest.raises(ValidationError, match="at most 4294967295"):
+        SynthConfig(**fields)
+
+
+def test_synth_config_accepts_u32_header_maximum():
+    cfg = SynthConfig(n_classes=3, per_class=1431655765, dim=2**32 - 1)
+    assert cfg.n_classes * cfg.per_class == 2**32 - 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--per-class", str(2**62)], "at most 4294967295"),
+        (["--classes", str(2**62)], "at most 4294967295"),
+        (["--dim", str(2**62)], "at most 4294967295"),
+        # the (2**31, 2**32 - 1) centroid array exceeds numpy's largest
+        # array, so it fails before any page is touched
+        (["--classes", str(2**31), "--per-class", "1", "--dim", str(2**32 - 1)],
+         "too many to allocate"),
+    ],
+    ids=["per-class", "classes", "dim", "unallocatable"],
+)
+def test_cli_synth_oversized_dataset_exit_code(tmp_path, flags, message):
+    # in a subprocess: before these checks such sizes could crash the
+    # interpreter outright
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphmend", "synth",
+         "--out-features", str(tmp_path / "f.bin"),
+         "--out-labels", str(tmp_path / "l.csv")] + flags,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 11, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert not (tmp_path / "f.bin").exists()
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
