@@ -9,6 +9,23 @@ through every graph, (6) vote, renormalize confidence, and update the
 corrected labels, (7) write the epoch report.  Epoch 1 splits on the
 ingested features, starts from corrected = noisy with confidence 1, and
 trains all branches from one shared random initialization.
+
+Step (5) is M*M independent solves, one per (graph m, label set j).
+The calling thread and min(usable CPUs, M*M) - 1 helper threads take
+the pairs in row-major order.  Usable CPUs are the process's affinity
+mask (os.cpu_count() where the OS has none) capped by its cgroup's CPU
+quota, so `taskset` restricts them and no option does; one usable CPU
+starts no helper.  Each pair writes only its own (m, j) slices of the
+suggestion arrays and sums nothing across pairs, so the labels are the
+same bits for every thread count.  The calling thread runs the step
+alone while a function it calls by public name (solve_propagation,
+suggest_labels and certainty_weights as bound here, and
+accel.make_csr_matvec) has been replaced by code from outside graphmend:
+such a wrapper (perfbench's tracer keeps one span stack) need not be
+safe to call from several threads at once.  Failures surface in serial
+order: once a pair fails no thread takes another, and after every
+helper has stopped the error of the first failing pair in row-major
+order is raised unchanged.
 """
 
 import argparse
@@ -19,9 +36,11 @@ import json
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
+from . import accel, propagate
 from .branches import (
     BranchModel,
     ModelSet,
@@ -204,6 +223,86 @@ def _check_branch_count(n_branches, n_samples):
         )
 
 
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS keeps
+    one, else every CPU, capped by its cgroup's CPU quota."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _quota_cpus() or cpus)
+
+
+_CGROUP = "/sys/fs/cgroup"
+
+
+def _quota_cpus():
+    """The cgroup's CPU quota (v2 cpu.max, else v1 cfs) rounded up to
+    whole CPUs, or None where none is set or readable."""
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            fields = []
+            for name in names:
+                with open(os.path.join(_CGROUP, name)) as f:
+                    fields += f.read().split()
+            quota, period = fields[:2]
+            if quota in ("max", "-1"):
+                return None
+            return max(1, math.ceil(int(quota) / int(period)))
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return None
+
+
+def _thread_count(n_tasks):
+    """Threads for step 5, the calling thread included (see the module
+    docstring)."""
+    called = (solve_propagation, suggest_labels, certainty_weights, accel.make_csr_matvec)
+    if any(getattr(fn, "__module__", None) not in (propagate.__name__, accel.__name__)
+           for fn in called):
+        return 1
+    return min(_usable_cpus(), n_tasks)
+
+
+def _propagate_all(graphs, planes, prop, n_classes):
+    """Suggestions of every graph m for every label set j, solved by the
+    calling thread and its helpers (see the module docstring, step 5)."""
+    M, n = len(graphs), planes[0].shape[0]
+    sug_labels = np.empty((M, M, n, 2), dtype=np.int64)
+    sug_weights = np.empty((M, M, n, 2))
+    todo = itertools.product(range(M), repeat=2)
+    lock = threading.Lock()
+    failed = {}
+
+    def drain():
+        # take pairs in row-major order until none is left or one failed
+        while True:
+            with lock:
+                pair = None if failed else next(todo, None)
+            if pair is None:
+                return
+            m, j = pair
+            try:
+                Z = solve_propagation(graphs[m], planes[j], prop)
+                sug_labels[m, j] = suggest_labels(Z)
+                sug_weights[m, j] = certainty_weights(Z)
+            except BaseException as exc:
+                with lock:
+                    failed[pair] = exc
+
+    helpers = [threading.Thread(target=drain) for _ in range(_thread_count(M * M) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return SuggestionTensor(sug_labels, sug_weights, n_classes)
+
+
 def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None):
     """Run the full iterative correction; returns the per-epoch reports."""
     if features is None or labels is None:
@@ -272,14 +371,7 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
             hidden = _embed(models.ensemble[m], features)
             graphs.append(normalize_graph(build_adjacency(hidden, cfg.graph)))
         planes = [build_partial_labels(assignment, j, state) for j in range(M)]
-        sug_labels = np.empty((M, M, n, 2), dtype=np.int64)
-        sug_weights = np.empty((M, M, n, 2))
-        for m in range(M):
-            for j in range(M):
-                Z = solve_propagation(graphs[m], planes[j], cfg.prop)
-                sug_labels[m, j] = suggest_labels(Z)
-                sug_weights[m, j] = certainty_weights(Z)
-        suggestions = SuggestionTensor(sug_labels, sug_weights, C)
+        suggestions = _propagate_all(graphs, planes, cfg.prop, C)
 
         winners, _, omega_hat, _ = decide_all(suggestions)
         state = apply_correction(state, winners, normalize_confidence(omega_hat))

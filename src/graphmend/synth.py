@@ -102,20 +102,33 @@ def inject_uniform(labels, rate, n_classes, rng):
     return noisy
 
 
+# entries of one chunk's (rows, C, dim) difference block, 512 KiB of
+# float64; a chunk holds at least one row
+_DEFICIT_CHUNK = 2**16
+
+
 def margin_deficit(features, labels, centroids):
     """Distance to own centroid minus distance to the nearest other one.
 
     High values mark samples sitting at or beyond the class boundary.
+    Rows go in chunks, so no (n, C, dim) or (n, C) array is ever live;
+    every row sees the same elementwise ops and reductions as in one
+    whole-array pass, so the bits do not depend on the chunking.
     """
-    X = features.data.astype(np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    dist = np.sqrt(d2)
-    own = dist[np.arange(X.shape[0]), labels]
-    masked = dist.copy()
-    masked[np.arange(X.shape[0]), labels] = np.inf
-    other_class = masked.argmin(axis=1)
-    return own - masked.min(axis=1), other_class
+    n = features.data.shape[0]
+    deficit = np.empty(n)
+    other_class = np.empty(n, dtype=np.int64)
+    step = max(1, _DEFICIT_CHUNK // centroids.size)
+    for lo in range(0, n, step):
+        X = features.data[lo:lo + step].astype(np.float64)
+        rows, own_class = np.arange(X.shape[0]), labels[lo:lo + step]
+        dist = np.sqrt(((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
+        own = dist[rows, own_class]
+        dist[rows, own_class] = np.inf
+        other_class[lo:lo + step] = dist.argmin(axis=1)
+        deficit[lo:lo + step] = own - dist.min(axis=1)
+    return deficit, other_class
 
 
 def inject_confusing(features, labels, rate, centroids):

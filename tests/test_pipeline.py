@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from graphmend import pipeline, propagate
 from graphmend.core import (
     FeatureMatrix,
     GraphmendError,
+    SolverError,
     ValidationError,
     load_features,
     load_label_columns,
@@ -177,7 +180,7 @@ def test_run_output_layout(tmp_path):
 
 def test_epoch_one_solves_each_class_once(monkeypatch):
     feats, noisy, clean = noisy_blobs(seed=9, per_class=40, C=4)
-    splits, widths, layouts = [], [], []
+    splits, calls, layouts = [], [], []
     split = pipeline.split_dataset
     cg = propagate._cg
 
@@ -186,7 +189,10 @@ def test_epoch_one_solves_each_class_once(monkeypatch):
         return splits[-1]
 
     def record_cg(W, b, cfg):
-        widths.append(b.shape[1])
+        # the solves run on a thread pool in no fixed order: key each call
+        # by its graph and by the label set owning the block's first row
+        first = np.flatnonzero(b.any(axis=1))[0]
+        calls.append(((id(W), int(splits[0].branch_of[first])), b.shape[1]))
         layouts.append(b.flags.f_contiguous)
         return cg(W, b, cfg)
 
@@ -198,10 +204,207 @@ def test_epoch_one_solves_each_class_once(monkeypatch):
     # present in label set j, for every graph m
     present = [np.unique(noisy[splits[0].branch_of == j]).size for j in range(M)]
     assert min(present) >= 2
-    assert widths == present * M
+    widths = dict(calls)
+    assert len(calls) == len(widths) == M * M
+    assert len({graph for graph, _ in widths}) == M
+    assert all(width == present[j] for (_, j), width in widths.items())
     # the solver gets the F-ordered slice flat[:, cols]; CG's reductions
     # sum in another order on a C-ordered block
     assert all(layouts)
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(pipeline, "_quota_cpus", lambda: None)
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline._usable_cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert pipeline._usable_cpus() == os.cpu_count()
+    monkeypatch.setattr(pipeline, "_quota_cpus", lambda: 1)
+    assert pipeline._usable_cpus() == 1
+
+
+@pytest.mark.parametrize(
+    "files, cpus",
+    [
+        ({"cpu.max": "200000 100000\n"}, 2),
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "5000 100000\n"}, 1),
+        ({"cpu.max": "max 100000\n"}, None),
+        # v2 takes precedence over v1
+        ({"cpu.max": "max 100000\n", "cpu/cpu.cfs_quota_us": "100000\n",
+          "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+        ({"cpu/cpu.cfs_quota_us": "300000\n"}, None),
+        ({"cpu.max": "garbage\n"}, None),
+        ({"cpu.max": "100000 0\n"}, None),
+        ({}, None),
+    ],
+)
+def test_quota_cpus_read_the_cgroup_quota(tmp_path, monkeypatch, files, cpus):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(pipeline, "_CGROUP", str(tmp_path))
+    assert pipeline._quota_cpus() == cpus
+
+
+def record_thread_counts(monkeypatch):
+    """What _thread_count returned for every epoch, in order."""
+    counts, count = [], pipeline._thread_count
+
+    def record(n_tasks):
+        counts.append(count(n_tasks))
+        return counts[-1]
+
+    monkeypatch.setattr(pipeline, "_thread_count", record)
+    return counts
+
+
+def test_output_tree_does_not_depend_on_thread_count(cli_dataset, tmp_path, monkeypatch):
+    root, feats, labels, _ = cli_dataset
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CLI_CONFIG.replace("outer_epochs = 2", "outer_epochs = 3"))
+    counts = record_thread_counts(monkeypatch)
+    trees = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        out = tmp_path / ("cpus_%d" % cpus)
+        # switch threads often, so that a write to another task's slice
+        # would show in the tree
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            code = pipeline.main(
+                [
+                    "correct",
+                    "--features", str(feats),
+                    "--labels", str(labels),
+                    "--out", str(out),
+                    "--config", str(cfg),
+                    "--dump-suggestions",
+                ]
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        trees.append(
+            {str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*") if f.is_file()}
+        )
+    # min(usable CPUs, M*M) threads per epoch at M = 3
+    assert counts == [1] * 3 + [4] * 3
+    assert "epoch_3/suggestions.txt" in trees[0]
+    assert trees[0] == trees[1]
+
+
+def test_run_leaves_no_pool_thread_running(monkeypatch):
+    feats, noisy, clean = noisy_blobs(seed=4, per_class=30, C=3)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    before = threading.enumerate()
+    run_correction(small_cfg(seed=4, outer_epochs=2), features=feats, labels=noisy)
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("cpus, M", [(1, 2), (4, 3), (16, 3)])
+def test_solves_run_on_min_cpus_and_pairs_threads_at_once(monkeypatch, cpus, M):
+    feats, noisy, clean = noisy_blobs(seed=4, per_class=30, C=3)
+    threads = min(cpus, M * M)
+    # each thread's first solve waits until `threads` threads have come
+    barrier = threading.Barrier(threads, timeout=30)
+    seen, cg = set(), propagate._cg
+
+    def meet_cg(W, b, cfg):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        return cg(W, b, cfg)
+
+    monkeypatch.setattr(propagate, "_cg", meet_cg)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    run_correction(small_cfg(seed=4, M=M, outer_epochs=1), features=feats, labels=noisy)
+    # the calling thread is one of them
+    assert len(seen) == threads
+    assert threading.get_ident() in seen
+
+
+def test_step5_runs_on_the_calling_thread_once_a_function_is_replaced(monkeypatch):
+    feats, noisy, clean = noisy_blobs(seed=4, per_class=30, C=3)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 4)
+    M = 3
+    counts = record_thread_counts(monkeypatch)
+    for module, name in [
+        (pipeline, "solve_propagation"),
+        (pipeline, "suggest_labels"),
+        (pipeline, "certainty_weights"),
+        (propagate.accel, "make_csr_matvec"),
+    ]:
+        idents, own = [], getattr(module, name)
+
+        def wrapper(*args, own=own, idents=idents):
+            idents.append(threading.get_ident())
+            return own(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, wrapper)
+            run_correction(small_cfg(seed=4, M=M, outer_epochs=1), features=feats, labels=noisy)
+        assert len(idents) >= M * M
+        assert set(idents) == {threading.get_ident()}, name
+    # and with every function graphmend's own, the helpers are back
+    run_correction(small_cfg(seed=4, M=M, outer_epochs=1), features=feats, labels=noisy)
+    assert counts == [1, 1, 1, 1, 4]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_first_failing_pair_in_serial_order_raises(monkeypatch, cpus):
+    feats, noisy, clean = noisy_blobs(seed=9, per_class=40, C=4)
+    splits, graphs = [], []
+    split, normalize, cg = pipeline.split_dataset, pipeline.normalize_graph, propagate._cg
+
+    def record_split(*args, **kwargs):
+        splits.append(split(*args, **kwargs))
+        return splits[-1]
+
+    def record_graph(A):
+        graphs.append(normalize(A))
+        return graphs[-1]
+
+    def failing_cg(W, b, cfg):
+        m = [id(g) for g in graphs].index(id(W))
+        j = int(splits[0].branch_of[np.flatnonzero(b.any(axis=1))[0]])
+        if (m, j) == (0, 1):
+            # fail after (1, 0) has failed, where the two run at once
+            time.sleep(0.05)
+            raise SolverError("pair (0, 1) failed")
+        if (m, j) == (1, 0):
+            raise SolverError("pair (1, 0) failed")
+        return cg(W, b, cfg)
+
+    monkeypatch.setattr(pipeline, "split_dataset", record_split)
+    monkeypatch.setattr(pipeline, "normalize_graph", record_graph)
+    monkeypatch.setattr(propagate, "_cg", failing_cg)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    before = threading.enumerate()
+    with pytest.raises(SolverError, match=r"^pair \(0, 1\) failed$"):
+        run_correction(small_cfg(seed=9, M=3, outer_epochs=1), features=feats, labels=noisy)
+    assert threading.enumerate() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_no_thread_takes_a_pair_after_a_failure(monkeypatch, cpus):
+    feats, noisy, clean = noisy_blobs(seed=9, per_class=40, C=4)
+    calls = []
+
+    def failing_cg(W, b, cfg):
+        calls.append(threading.get_ident())
+        raise SolverError("solve %d failed" % len(calls))
+
+    monkeypatch.setattr(propagate, "_cg", failing_cg)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    with pytest.raises(SolverError):
+        run_correction(small_cfg(seed=9, M=3, outer_epochs=1), features=feats, labels=noisy)
+    # every solve fails, so each thread fails its first pair and stops
+    assert 1 <= len(calls) <= cpus
+    assert len(set(calls)) == len(calls)
 
 
 def test_two_epoch_run_equals_run_without_dedup(monkeypatch, tmp_path):

@@ -2,12 +2,14 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from graphmend.core import ValidationError
+from graphmend import synth
+from graphmend.core import FeatureMatrix, ValidationError
 from graphmend.synth import (
     SynthConfig,
     class_centroids,
@@ -107,6 +109,61 @@ def test_margin_deficit_signs():
     # second point strayed next door: positive deficit, nearest other is 1
     assert score[1] == pytest.approx(9.0 - 1.0)
     assert other.tolist() == [1, 1]
+
+
+def margin_deficit_reference(features, labels, centroids):
+    """The whole-array formula margin_deficit replaced: one (n, C, dim)
+    difference block."""
+    X = features.data.astype(np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    dist = np.sqrt(d2)
+    own = dist[np.arange(X.shape[0]), labels]
+    masked = dist.copy()
+    masked[np.arange(X.shape[0]), labels] = np.inf
+    other_class = masked.argmin(axis=1)
+    return own - masked.min(axis=1), other_class
+
+
+# with 45 centroid entries: one 1,001-row chunk, 10-row chunks with a
+# 1-row tail, and 1-row chunks
+@pytest.mark.parametrize("chunk", [synth._DEFICIT_CHUNK, 450, 1])
+def test_margin_deficit_equals_whole_array_reference(monkeypatch, chunk):
+    rng = np.random.default_rng(3)
+    n, C, d = 1001, 5, 9
+    centroids = rng.standard_normal((C, d)) * 3.0
+    X = rng.standard_normal((n, d)).astype(np.float32) * 4.0
+    # rows tied at the minimum: at the origin every axis centroid is at
+    # the same distance, and integer points sit halfway between two
+    axes = np.eye(C, d) * 2.0
+    X[:40] = 0.0
+    X[40:80] = np.round(X[40:80])
+    labels = rng.integers(0, C, n)
+    monkeypatch.setattr(synth, "_DEFICIT_CHUNK", chunk)
+    for cents in (centroids, axes):
+        got = margin_deficit(FeatureMatrix(X), labels, cents)
+        want = margin_deficit_reference(FeatureMatrix(X), labels, cents)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+    # the origin rows tie between every other class; argmin takes the lowest
+    tied = margin_deficit(FeatureMatrix(X[:40]), labels[:40], axes)[1]
+    assert np.array_equal(tied, np.where(labels[:40] == 0, 1, 0))
+
+
+def test_margin_deficit_keeps_no_whole_array_temporary():
+    n, C, d = 4000, 20, 32
+    rng = np.random.default_rng(0)
+    features = FeatureMatrix(rng.standard_normal((n, d)).astype(np.float32))
+    labels = rng.integers(0, C, n)
+    centroids = rng.standard_normal((C, d))
+    tracemalloc.start()
+    try:
+        margin_deficit(features, labels, centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-array formula holds n*C*d*8 = 20.5 MB at once
+    assert peak < n * C * d * 8 / 8
 
 
 def test_confusing_noise_picks_worst_margins():
