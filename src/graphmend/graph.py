@@ -245,15 +245,23 @@ def build_adjacency(features, cfg):
 
 def normalize_graph(A):
     """Symmetric normalization W = D^-1/2 (A + A^T) D^-1/2 of an (n, n)
-    float CSR matrix A, as a new CSR matrix; A is left unchanged."""
+    float CSR matrix A, as a new CSR matrix; A is left unchanged.
+
+    Buffers of W's entry count: the row ids take S.indices' dtype, and
+    the two gathered scale factors are multiplied into one buffer, the
+    row ids freed before the second gather.
+    """
     n = A.shape[0]
     S = A + A.T
-    rows = np.repeat(np.arange(n), np.diff(S.indptr))
+    rows = np.repeat(np.arange(n, dtype=S.indices.dtype), np.diff(S.indptr))
     degree = np.bincount(rows, weights=S.data, minlength=n)
     inv_sqrt = np.zeros(n)
     alive = degree > 0
     inv_sqrt[alive] = 1.0 / np.sqrt(degree[alive])
     # multiply the two scale factors together first; the product is the
     # same for (s, t) and (t, s), keeping W exactly symmetric
-    S.data *= inv_sqrt[rows] * inv_sqrt[S.indices]
+    scale = inv_sqrt[rows]
+    del rows
+    scale *= inv_sqrt[S.indices]
+    S.data *= scale
     return S

@@ -10,6 +10,12 @@ corrected labels, (7) write the epoch report.  Epoch 1 splits on the
 ingested features, starts from corrected = noisy with confidence 1, and
 trains all branches from one shared random initialization.
 
+Step (4) runs every kNN search first and then normalizes the M
+adjacencies, replacing each A by its W in the one list: each A is freed
+as its W is made, and no normalization temporary is live during a
+search.  An epoch's graphs, label planes and suggestions are freed
+before the next epoch's searches.
+
 Step (5) is M*M independent solves, one per (graph m, label set j).
 The calling thread and min(usable CPUs, M*M) - 1 helper threads take
 the pairs in row-major order.  Usable CPUs are the process's affinity
@@ -366,10 +372,12 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
             epoch=epoch,
         )
 
-        graphs = []
+        graphs = [
+            build_adjacency(_embed(models.ensemble[m], features), cfg.graph)
+            for m in range(M)
+        ]
         for m in range(M):
-            hidden = _embed(models.ensemble[m], features)
-            graphs.append(normalize_graph(build_adjacency(hidden, cfg.graph)))
+            graphs[m] = normalize_graph(graphs[m])
         planes = [build_partial_labels(assignment, j, state) for j in range(M)]
         suggestions = _propagate_all(graphs, planes, cfg.prop, C)
 
@@ -393,6 +401,9 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
             save_model(os.path.join(edir, "corrected_model.bin"), models.corrected)
             save_model(os.path.join(edir, "noisy_model.bin"), models.noisy)
 
+        # freed before the next epoch's searches, which would otherwise
+        # run beside this epoch's M graphs and suggestion arrays
+        del graphs, planes, suggestions
         split_features = _embed(models.noisy, features)
         changed = int((state.corrected != prev_corrected).sum())
         prev_corrected = state.corrected.copy()

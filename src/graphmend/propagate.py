@@ -96,7 +96,8 @@ def solve_propagation(W, Y, cfg):
     any column misses cg_tolerance * ||y|| within cg_max_iters
     iterations.  Z has Y's shape; for a Y of three or more dimensions it
     is a class-major view, for a 2-D Y a C-ordered array (see the
-    module docstring).
+    module docstring).  Z is allocated after CG returns, so it is never
+    live next to CG's block buffers.
     """
     Y = np.asarray(Y, dtype=np.float64)
     n = W.shape[0]
@@ -107,15 +108,18 @@ def solve_propagation(W, Y, cfg):
     flat = Y.reshape(n, -1)
     if not np.isfinite(flat).all():
         raise ValidationError("label block holds nan or inf")
-    # column-major for (n, C, 2) blocks, so Z.reshape(Y.shape) stays a
-    # view with contiguous class planes (see the module docstring)
-    Z = np.zeros(flat.shape[::-1]).T if Y.ndim > 2 else np.zeros_like(flat)
     live = np.flatnonzero(np.linalg.norm(flat, axis=0) > 0)
+    solved = None
     if live.size:
         cols, slot = _distinct_columns(flat, live)
         # b stays the fancy-index slice flat[:, cols] (F-ordered): CG's
         # reductions sum in another order on other layouts
-        Z[:, live] = _cg(W, flat[:, cols], cfg)[:, slot]
+        solved = _cg(W, flat[:, cols], cfg)[:, slot]
+    # column-major for (n, C, 2) blocks, so Z.reshape(Y.shape) stays a
+    # view with contiguous class planes (see the module docstring)
+    Z = np.zeros(flat.shape[::-1]).T if Y.ndim > 2 else np.zeros_like(flat)
+    if solved is not None:
+        Z[:, live] = solved
     return Z.reshape(Y.shape)
 
 
@@ -184,20 +188,24 @@ def certainty_weights(Z):
 
     Negative mass from finite precision is floored at zero before row
     normalization; all-zero rows score 0.  Exactly-uniform rows are
-    pinned to 0 so the bound does not wobble with C.
+    pinned to 0 so the bound does not wobble with C.  Two buffers of Z's
+    size: the clipped mass, divided into P in place, and P log P.  Both
+    keep Z's layout, so each row sum adds in the same order as over Z.
     """
     Z = np.asarray(Z, dtype=np.float64)
     C = Z.shape[1]
     if C < 2:
         raise ValidationError("certainty weights need at least 2 classes")
-    mass = np.clip(Z, 0.0, None)
-    total = mass.sum(axis=1)
-    denom = np.expand_dims(np.where(total > 0, total, 1.0), 1)
-    P = mass / denom
-    logP = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
-    H = -(P * logP).sum(axis=1)
-    w = np.clip(1.0 - H / np.log(C), 0.0, 1.0)
+    P = np.clip(Z, 0.0, None)  # the mass, until divided in place below
     # constant rows carry no preference: score 0 exactly, which also
     # covers rows with no propagated mass at all
-    w[mass.max(axis=1) == mass.min(axis=1)] = 0.0
+    constant = P.max(axis=1) == P.min(axis=1)
+    total = P.sum(axis=1)
+    P /= np.expand_dims(np.where(total > 0, total, 1.0), 1)
+    terms = np.zeros_like(P)
+    np.log(P, out=terms, where=P > 0)
+    terms *= P
+    H = -terms.sum(axis=1)
+    w = np.clip(1.0 - H / np.log(C), 0.0, 1.0)
+    w[constant] = 0.0
     return w

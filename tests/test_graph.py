@@ -663,6 +663,25 @@ def test_normalize_merges_reciprocal_edges():
     assert np.allclose(W.toarray(), [[0, 1], [1, 0]], atol=1e-15)
 
 
+def test_normalize_peak_memory_below_43_bytes_per_entry():
+    # W's own arrays take 12 bytes per entry (float64 data, int32
+    # indices).  Row ids in the indices' dtype and one scale buffer, with
+    # the row ids freed before the second gather, keep the peak at about
+    # 39 bytes per entry of W at n = 2,000, k = 50; int64 row ids and a
+    # fresh product of the two gathered factors take 47
+    n, k = 2000, 50
+    feats = FeatureMatrix(np.random.default_rng(n).standard_normal((n, 16)))
+    A = build_adjacency(feats, GraphConfig(k_graph=k))
+    tracemalloc.start()
+    try:
+        W = normalize_graph(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.indices.dtype == np.int32
+    assert peak < 43 * W.nnz
+
+
 def power_iteration_norm(W, iters=300):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(W.shape[0])

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -211,6 +212,55 @@ def test_epoch_one_solves_each_class_once(monkeypatch):
     # the solver gets the F-ordered slice flat[:, cols]; CG's reductions
     # sum in another order on a C-ordered block
     assert all(layouts)
+
+
+def test_epoch_searches_every_graph_before_normalizing(monkeypatch):
+    # all M kNN searches run first; then each A is replaced by its W, so
+    # no normalization temporary is live during a search, and every A is
+    # freed by the time the next graph is normalized.  No search runs
+    # beside an earlier epoch's graphs or suggestions
+    feats, noisy, clean = noisy_blobs(seed=9, per_class=40, C=4)
+    events, built, normalized, suggested = [], [], [], []
+    split, build, normalize, propagate_all = (
+        pipeline.split_dataset,
+        pipeline.build_adjacency,
+        pipeline.normalize_graph,
+        pipeline._propagate_all,
+    )
+
+    def record_split(*args, **kwargs):
+        events.append("split")
+        return split(*args, **kwargs)
+
+    def record_build(*args, **kwargs):
+        events.append("build")
+        assert all(ref() is None for ref in normalized + suggested)
+        A = build(*args, **kwargs)
+        built.append(weakref.ref(A))
+        return A
+
+    def record_normalize(A):
+        events.append("normalize")
+        # this epoch's graphs before A are freed, A and those after live
+        epoch = built[-M:]
+        i = next(i for i, ref in enumerate(epoch) if ref() is A)
+        assert [ref() is None for ref in epoch] == [True] * i + [False] * (M - i)
+        W = normalize(A)
+        normalized.append(weakref.ref(W))
+        return W
+
+    def record_propagate(*args):
+        suggestions = propagate_all(*args)
+        suggested.append(weakref.ref(suggestions))
+        return suggestions
+
+    monkeypatch.setattr(pipeline, "split_dataset", record_split)
+    monkeypatch.setattr(pipeline, "build_adjacency", record_build)
+    monkeypatch.setattr(pipeline, "normalize_graph", record_normalize)
+    monkeypatch.setattr(pipeline, "_propagate_all", record_propagate)
+    M = 3
+    run_correction(small_cfg(seed=9, M=M, outer_epochs=2), features=feats, labels=noisy)
+    assert events == (["split"] + ["build"] * M + ["normalize"] * M) * 2
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):

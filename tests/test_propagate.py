@@ -1,5 +1,7 @@
 """Label propagation: solver vs closed forms, oracle route, certainty."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -353,18 +355,83 @@ def scoring_rows(rng, C):
     return Z
 
 
+def class_major(Z):
+    """A copy of an (n, C, 2) Z in the layout solve_propagation returns."""
+    n = Z.shape[0]
+    out = np.zeros((Z[0].size, n)).T
+    out[:] = Z.reshape(n, -1)
+    return out.reshape(Z.shape)
+
+
 @pytest.mark.parametrize("C", [2, 3, 4, 9, 16, 32])
 def test_scoring_class_major_equals_c_ordered(C):
     rng = np.random.default_rng(C)
     ordered = scoring_rows(rng, C)
     n = ordered.shape[0]
-    # the layout solve_propagation returns
-    class_major = np.zeros((2 * C, n)).T
-    class_major[:] = ordered.reshape(n, -1)
-    class_major = class_major.reshape(ordered.shape)
-    assert class_major.strides == (8, 16 * n, 8 * n)
-    assert np.array_equal(suggest_labels(class_major), suggest_labels(ordered))
-    assert_bits_equal(certainty_weights(class_major), certainty_weights(ordered))
+    major = class_major(ordered)
+    assert major.strides == (8, 16 * n, 8 * n)
+    assert np.array_equal(suggest_labels(major), suggest_labels(ordered))
+    assert_bits_equal(certainty_weights(major), certainty_weights(ordered))
+
+
+def certainty_weights_reference(Z):
+    """certainty_weights as it was before it worked in place: a fresh
+    array for every step."""
+    Z = np.asarray(Z, dtype=np.float64)
+    C = Z.shape[1]
+    mass = np.clip(Z, 0.0, None)
+    total = mass.sum(axis=1)
+    denom = np.expand_dims(np.where(total > 0, total, 1.0), 1)
+    P = mass / denom
+    logP = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
+    H = -(P * logP).sum(axis=1)
+    w = np.clip(1.0 - H / np.log(C), 0.0, 1.0)
+    w[mass.max(axis=1) == mass.min(axis=1)] = 0.0
+    return w
+
+
+@pytest.mark.parametrize("C", [2, 3, 4, 9, 16, 32])
+def test_certainty_equals_reference(C):
+    ordered = scoring_rows(np.random.default_rng(60 + C), C)
+    ordered[9] = 1e-300  # uniform and tiny
+    ordered[10] = np.where(np.arange(C) % 3 == 0, 1e-300, -0.0)[:, None]
+    ordered[11, :, 1] = 0.0  # one plane with no mass
+    n = ordered.shape[0]
+    flat = ordered.reshape(n, -1)
+    # each layout sums a row in its own order: every buffer keeps Z's
+    for Z in (class_major(ordered), ordered, flat, np.asfortranarray(flat), ordered[:, :, 1].copy()):
+        assert_bits_equal(certainty_weights(Z), certainty_weights_reference(Z))
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("C", [9, 16])
+def test_certainty_peak_memory_below_three_z(C):
+    # the clipped mass, divided in place, and one P log P buffer: two
+    # arrays of Z's size plus per-row vectors.  A fresh array per step
+    # (P, the log's argument, the log, its masked copy, the product) peaks
+    # above 4 Z
+    Z = class_major(np.random.default_rng(C).uniform(-0.05, 1.0, (4000, C, 2)))
+    assert peak_bytes(certainty_weights, Z) < 3 * Z.nbytes
+
+
+def test_solve_peak_memory_below_seven_and_a_half_z(knn_graph):
+    # Z is allocated once CG's buffers are freed, so it never adds to
+    # CG's live block arrays (b, x, resid, p and the matvec's q): about
+    # 7 Z with it, 8 Z when Z is allocated before the solve
+    n, C = knn_graph.shape[0], 16
+    rng = np.random.default_rng(70)
+    Y = np.zeros((n, C, 2))
+    Y[np.arange(n), rng.integers(C, size=n), 0] = 1.0
+    Y[np.arange(n), rng.integers(C, size=n), 1] = 1.0
+    assert peak_bytes(solve_propagation, knn_graph, Y, PropagationConfig()) < 7.5 * Y.nbytes
 
 
 def test_diffusion_zero_iters_is_identity():
