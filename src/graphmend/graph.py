@@ -17,11 +17,18 @@ Each GEMM runs on a column count padded to a multiple of 16: the unit
 rows are followed by zero rows up to that count, and the pad columns of
 every block are set to -inf like the diagonal, so they are never picked.
 A block holds max(2, min(512, 2**21 // n)) rows, at most 16 MiB of
-float64, and a 1-row tail joins the block before it, because a 1-row
-product is a matrix-vector product that rounds differently.  With no
-edge columns, OpenBLAS rounds every product of 2 rows or more alike, so
-the similarities are the same bits for every block split and BLAS
-thread count.
+float64.  Two kinds of product round otherwise than the rest: a 1-row
+product, which is a matrix-vector product, and, at inner widths from 32
+on with OpenBLAS's SkylakeX kernels, a product of at most 1,152 entries,
+which goes to a small-matrix kernel.  So every product here has 2 rows
+or more and more than _SMALL_PRODUCT = 2,048 entries: a `block` too
+short for that grows, and a shorter tail joins the block before it.
+With no edge columns, the SkylakeX and Sandybridge kernels round every
+such product alike, so the similarities are the same bits for every
+block split and BLAS thread count.  The Haswell kernels, which OpenBLAS
+also picks for AMD Zen, round the rows past a product's last multiple
+of 4 otherwise at widths like 64, so there a block's height and the
+thread count can move the last bit.
 
 On wide blocks (n >= 64 k) a slab bound first shrinks each row to k g
 candidates.  The first g w columns are cut into g contiguous slabs of
@@ -36,6 +43,42 @@ ascending column order, so the argpartition kernel run on them hands
 ties to the lower index exactly as on the whole row.  Narrower blocks
 (global graphs with k = 50 at n = 2,000, for one) go straight to the
 argpartition kernel.
+
+Searches whose blocks hold at most n / (2 (k + m)) rows, m = 2
+(_SCREEN_EXTRA), so that a block's candidate columns stay at most half
+of n, screen each block in float32 first (local-8k: 262-row blocks at
+n = 8,000, k = 5; not 512-row blocks at n = 2,000 or 2,400):
+
+1. The block's similarities s^ in float32, from float32 copies of the
+   unit rows, in a buffer of half the bytes of a float64 block, and
+   any k + m largest of each row by them (ties need no settling).
+2. One float64 GEMM of the block's rows on the union of their candidate
+   columns, padded to 16 and to more than 2,048 entries like every
+   product above, so each entry is the bit pattern s that the block's
+   own product gives.
+
+For unit rows x, y of width d, |s^ - s| <= eps = (d + 3) 2**-23.  With
+u = 2**-24, rounding both rows to float32 moves x.y by at most
+(2u + u**2)|x||y|, the float32 sum of d products in any order adds at
+most gamma_d |x^||y^|, gamma_d = d u / (1 - d u), and the float64 sum at
+most d 2**-53 |x||y| < u; to first order that is (d + 3) u, and eps
+doubles it to cover the second-order terms, norms a few ulps above 1,
+float32 underflow and the rounding of the test below.  A row is
+resolved when s^_(k+m) < s^_(k) - 2 eps, subscripts giving its
+descending screened order.  The k entries with s^ >= s^_(k) have
+s >= s^_(k) - eps, so the exact k-th value s_(k) >= s^_(k) - eps, and
+every entry with s >= s_(k) has s^ >= s_(k) - eps >= s^_(k) - 2 eps,
+while every entry left out has s^ <= s^_(k+m): all of them, ties
+included, are candidates.
+A resolved row sorts its candidates by column, then stably by
+descending exact value, and keeps k: the whole row's rule.  Other rows
+are recomputed in float64 over the whole row, as unscreened blocks are,
+in chunks of at most half the block's rows written into the same
+buffer (padded with zero rows to 2 rows and past 2,048 entries), so the
+search never holds more than one float64 block, even when every row
+falls back.  Under the Haswell kernels such a row's place in its chunk
+differs from its place in the block, so its last bit can differ from
+an unscreened search's.
 
 Edge weights are clamp(cosine, 0, 1) ** gamma so fractional gamma stays
 real even when raw cosine goes negative.  Both graphs are
@@ -61,6 +104,11 @@ from .core import ValidationError, cast_fields, require_finite
 
 # entries per selection chunk: 1 MiB of int64 indices
 _CHUNK_ENTRIES = 2**17
+# entries of a GEMM result at or below which OpenBLAS may take its
+# small-matrix kernel, which rounds otherwise than larger products
+_SMALL_PRODUCT = 2048
+# candidates per row that the float32 screen keeps beyond k
+_SCREEN_EXTRA = 2
 
 
 @dataclasses.dataclass
@@ -98,7 +146,7 @@ def _row_chunks(b, n):
     return [slice(r, r + h) for r in range(0, b, h)]
 
 
-def _topk_rows(sims, k):
+def _topk_rows(sims, k, settle_ties=True):
     """Per-row indices of the k largest entries, ties to the lower index.
 
     Returns (indices, values) with columns ordered by descending value
@@ -111,6 +159,8 @@ def _topk_rows(sims, k):
     pick is the only valid set and sorting it finishes the row.  Rows
     whose runner-up equals the k-th value are tied across the cut and go
     to _repair_ties, which hands the tied slots to the lowest indices.
+    With settle_ties false they are left as picked: some k largest
+    entries, with the right values.
     """
     b, n = sims.shape
     part = np.empty((b, k + 1), dtype=np.int64)
@@ -123,7 +173,8 @@ def _topk_rows(sims, k):
     order = np.argsort(-vals, axis=1, kind="stable")
     idx = np.take_along_axis(idx, order, axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
-    _repair_ties(sims, np.flatnonzero(runner_up >= vals[:, -1]), idx, vals)
+    if settle_ties:
+        _repair_ties(sims, np.flatnonzero(runner_up >= vals[:, -1]), idx, vals)
     return idx, vals
 
 
@@ -158,13 +209,13 @@ def _slab_count(n, k):
     return math.isqrt(n // k) // 2
 
 
-def _topk_slabs(sims, k):
-    """_topk_rows(sims, k), run on the k g candidate columns a slab bound
-    leaves per row (see the module docstring)."""
+def _topk_slabs(sims, k, settle_ties=True):
+    """_topk_rows(sims, k, settle_ties), run on the k g candidate columns
+    a slab bound leaves per row (see the module docstring)."""
     b, n = sims.shape
     g = _slab_count(n, k)
     if not g:
-        return _topk_rows(sims, k)
+        return _topk_rows(sims, k, settle_ties)
     w = n // g
     maxima = np.maximum.reduce(sims[:, :g * w].reshape(b, g, w), axis=1)
     part = np.argpartition(maxima, w - k - 1, axis=1)[:, w - k - 1:]
@@ -177,36 +228,111 @@ def _topk_slabs(sims, k):
     cols = np.concatenate([cols, tail], axis=1)
     # sims is C-contiguous, so one flat take gathers every row's candidates
     flat = cols + n * np.arange(b)[:, None]
-    local, vals = _topk_rows(np.take(sims, flat), k)
+    local, vals = _topk_rows(np.take(sims, flat), k, settle_ties)
     idx = np.take_along_axis(cols, local, axis=1)
     # an unpicked slab column whose maximum equals the bound may hold a
     # lower-indexed entry tied with the k-th value.  The candidates' k-th
     # value is still the row's: every unpicked slab column is <= the
     # bound, and the bound is <= that value
-    _repair_ties(sims, np.flatnonzero(runner_up >= bound), idx, vals)
+    if settle_ties:
+        _repair_ties(sims, np.flatnonzero(runner_up >= bound), idx, vals)
     return idx, vals
+
+
+def _fewest_rows(cols):
+    """Fewest rows of a product over `cols` columns that OpenBLAS rounds
+    like any taller one: 2, since a 1-row product is a matrix-vector
+    product, and more than _SMALL_PRODUCT entries."""
+    return max(2, _SMALL_PRODUCT // cols + 1)
 
 
 def _block_edges(n, block):
     """Row edges of the similarity blocks of an n-row search: block i
     runs from edges[i] to edges[i + 1].  `block` rows per block, by
-    default sized by bytes; a 1-row tail joins the block before it."""
+    default sized by bytes, but never fewer than _fewest_rows of the
+    padded column count; a shorter tail joins the block before it."""
     if block is None:
         block = max(2, min(512, 2**21 // n))
     elif block < 1:
         raise ValidationError("block must be >= 1")
-    edges = list(range(0, n, block)) + [n]
-    if n - edges[-2] == 1:
+    fewest = _fewest_rows(-(-n // 16) * 16)
+    edges = list(range(0, n, max(block, fewest))) + [n]
+    if len(edges) > 2 and n - edges[-2] < fewest:
         del edges[-2]
     return edges
+
+
+def _screens(rows, n, k):
+    """Whether a search whose blocks hold at most `rows` rows takes the
+    float32 screen: only when a block's candidate columns are at most
+    half of n."""
+    return 2 * rows * (k + _SCREEN_EXTRA) <= n
+
+
+def _exact_topk(unit, rows, ids, n, k, out):
+    """_topk_slabs(k) of the float64 similarities of `rows` to every unit
+    row, computed into the leading rows of `out`.  The first ids.size
+    rows are the nodes `ids`, whose own column is masked like the pad
+    columns; any rows after them are zero padding and are not selected."""
+    s = np.matmul(rows, unit.T, out=out[:rows.shape[0]])[:ids.size]
+    s[np.arange(ids.size), ids] = -np.inf
+    s[:, n:] = -np.inf
+    return _topk_slabs(s, k)
+
+
+def _screened_topk(unit, unit32, start, stop, n, k, out):
+    """_exact_topk of block rows start..stop through the float32 screen
+    (see the module docstring).  `out` holds the float32 block, and then
+    each chunk of fallback rows in float64."""
+    b = stop - start
+    cols, d = unit.shape
+    s = out.view(np.float32).ravel()[:b * cols].reshape(b, cols)
+    np.matmul(unit32[start:stop], unit32.T, out=s)
+    s[np.arange(b), np.arange(start, stop)] = -np.inf
+    s[:, n:] = -np.inf
+    # any k + m largest screened entries will do; ties need no settling
+    cand, rough = _topk_slabs(s, k + _SCREEN_EXTRA, settle_ties=False)
+    rough = rough.astype(np.float64)
+    eps = (d + 3) * 2.0**-23
+    # resolved rows: their candidates hold every entry >= the k-th value
+    sure = rough[:, -1] < rough[:, k - 1] - 2 * eps
+    idx = np.empty((b, k), dtype=np.int64)
+    vals = np.empty((b, k))
+    rows = np.flatnonzero(sure)
+    cand = np.sort(cand[rows], axis=1)
+    taken = np.zeros(n, dtype=bool)
+    taken[cand] = True
+    union = np.flatnonzero(taken)
+    # all b rows, and columns padded to 16 and past _SMALL_PRODUCT
+    # entries, so the product rounds like the block's own
+    width = -(-max(union.size, _SMALL_PRODUCT // b + 1) // 16) * 16
+    picked = np.zeros((width, d))
+    picked[:union.size] = unit[union]
+    exact = np.matmul(unit[start:stop], picked.T)
+    # column j sits at place cumsum(taken)[j] - 1 of the product
+    v = exact[rows[:, None], np.cumsum(taken)[cand] - 1]
+    del exact
+    # candidates in ascending column order, then stably by descending value
+    order = np.argsort(-v, axis=1, kind="stable")[:, :k]
+    idx[rows] = np.take_along_axis(cand, order, axis=1)
+    vals[rows] = np.take_along_axis(v, order, axis=1)
+    fewest = _fewest_rows(cols)
+    unsure = np.flatnonzero(~sure)
+    for r in range(0, unsure.size, out.shape[0]):
+        chunk = unsure[r:r + out.shape[0]]
+        padded = np.zeros((max(chunk.size, fewest), d))
+        padded[:chunk.size] = unit[start + chunk]
+        idx[chunk], vals[chunk] = _exact_topk(unit, padded, start + chunk, n, k, out)
+    return idx, vals
 
 
 def knn_neighbors(features, k_graph, block=None):
     """For each node, the k_graph most cosine-similar other nodes.
 
     Returns (neighbors, sims), each (n, k_graph), neighbour columns
-    sorted by descending similarity then ascending index.  `block` fixes
-    the rows per similarity block; by default blocks are sized by bytes.
+    sorted by descending similarity then ascending index.  `block` sets
+    the rows per similarity block, raised where a product would be too
+    small (see _block_edges); by default blocks are sized by bytes.
     """
     n = features.n_samples
     if n < 2:
@@ -214,16 +340,25 @@ def knn_neighbors(features, k_graph, block=None):
     if not k_graph < n:
         raise ValidationError("k_graph must be < n_samples")
     edges = _block_edges(n, block)
+    high = max(np.diff(edges))
     unit = _normalized_features(features)
+    cols = unit.shape[0]
     neighbors = np.empty((n, k_graph), dtype=np.int64)
     sims = np.empty((n, k_graph))
-    buf = np.empty((max(np.diff(edges)), unit.shape[0]))
+    screen = _screens(high, n, k_graph)
+    if screen:
+        unit32 = unit.astype(np.float32)
+        # one float32 block, or a float64 chunk of half as many rows
+        out = np.empty((max(-(-high // 2), _fewest_rows(cols)), cols))
+    else:
+        out = np.empty((high, cols))
     for start, stop in zip(edges[:-1], edges[1:]):
-        # a leading row slice of buf is C-contiguous: still one GEMM call
-        s = np.matmul(unit[start:stop], unit.T, out=buf[:stop - start])
-        s[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        s[:, n:] = -np.inf
-        idx, vals = _topk_slabs(s, k_graph)
+        if screen:
+            idx, vals = _screened_topk(unit, unit32, start, stop, n, k_graph, out)
+        else:
+            # a leading row slice of out is C-contiguous: still one GEMM call
+            ids = np.arange(start, stop)
+            idx, vals = _exact_topk(unit, unit[start:stop], ids, n, k_graph, out)
         neighbors[start:stop] = idx
         sims[start:stop] = vals
     return neighbors, sims

@@ -341,12 +341,15 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
     if output_dir is not None:
         ensure_dir(output_dir)
         _write_run_config(os.path.join(output_dir, "run_config.txt"), cfg)
-    split_features = features
     assignment = None
     reports = []
     prev_corrected = state.corrected.copy()
     for epoch in range(1, cfg.outer_epochs + 1):
         if assignment is None or cfg.resplit_each_epoch:
+            # a re-split reads the noisy branch's embedding, made only here
+            split_features = features
+            if assignment is not None:
+                split_features = _embed(models.noisy, features)
             assignment = split_dataset(
                 split_features,
                 state.noisy,
@@ -404,7 +407,6 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
         # freed before the next epoch's searches, which would otherwise
         # run beside this epoch's M graphs and suggestion arrays
         del graphs, planes, suggestions
-        split_features = _embed(models.noisy, features)
         changed = int((state.corrected != prev_corrected).sum())
         prev_corrected = state.corrected.copy()
         if cfg.early_stop and changed == 0:

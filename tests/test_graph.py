@@ -19,9 +19,10 @@ from graphmend.splitter import SplitConfig
 from graphmend.synth import SynthConfig, make_noisy_dataset
 
 
-def topk_rows_reference(sims, k):
+def topk_rows_reference(sims, k, settle_ties=True):
     """The threshold/cumsum top-k kernel that graph._topk_rows replaced,
-    kept as the bit-exact reference for it."""
+    kept as the bit-exact reference for it.  It always hands ties to the
+    lower index, one valid pick when settle_ties is false too."""
     b, n = sims.shape
     thresh = -np.partition(-sims, k - 1, axis=1)[:, k - 1]
     above = sims > thresh[:, None]
@@ -411,12 +412,19 @@ def test_knn_block_rule():
     assert graph._block_edges(6000, None)[:3] == [0, 349, 698]
     assert graph._block_edges(20000, None)[1] == 104
     assert graph._block_edges(200000, None)[:3] == [0, 10, 20]
-    # 4,800 = 11 * 436 + 4 keeps its 4-row tail
+    # 4,800 = 11 * 436 + 4 keeps its 4-row tail: 4 x 4,800 entries
     assert graph._block_edges(4800, None)[-3:] == [4360, 4796, 4800]
-    assert graph._block_edges(10, 7) == [0, 7, 10]
-    # a 1-row tail, default or explicit, joins the block before it
+    # a block holds at least 2 rows and more than 2,048 entries over the
+    # padded columns; a shorter tail joins the block before it: 1 row at
+    # n = 513, 2 x 528 entries at n = 514
     assert graph._block_edges(513, None) == [0, 513]
-    assert graph._block_edges(50, 7)[-2:] == [42, 50]
+    assert graph._block_edges(514, None) == [0, 514]
+    assert graph._block_edges(1025, None) == [0, 512, 1025]
+    # explicit blocks too small for that grow: 10 x 208 columns at
+    # n = 200, and at n = 10 or 50 one block holds every row
+    assert graph._block_edges(200, 7) == list(range(0, 201, 10))
+    assert graph._block_edges(10, 7) == [0, 10]
+    assert graph._block_edges(50, 7) == [0, 50]
 
 
 @pytest.mark.parametrize("block", [0, -3])
@@ -501,11 +509,140 @@ def test_knn_ties_prefer_lower_index():
 def test_knn_blocking_invariant():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 4)).astype(np.float32)
-    # 50 = 7 * 7 + 1: the 1-row tail joins the last 7-row block
+    # 50 rows pad to 64 columns, where a block needs 33 rows to exceed
+    # 2,048 entries: 7-row blocks become one 50-row block, as 512 does
     a = knn_neighbors(FeatureMatrix(X), 5, block=7)
     b = knn_neighbors(FeatureMatrix(X), 5, block=512)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1].view(np.int64), b[1].view(np.int64))
+
+
+def wide_random(rng, n):
+    return FeatureMatrix(rng.standard_normal((n, 64)))
+
+
+def wide_duplicated(rng, n):
+    # integer-valued rows, three copies each: exact ties, and screened
+    # rows whose k-th and (k + 2)-th values are equal
+    base = np.round(rng.standard_normal((-(-n // 3), 64)))
+    return FeatureMatrix(np.repeat(base, 3, axis=0)[rng.permutation(n)])
+
+
+def wide_signed_zero(rng, n):
+    data = rng.integers(-1, 2, (n, 64)).astype(np.float64)
+    zero = data == 0
+    data[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    data[np.all(zero, axis=1), 0] = 1.0
+    return FeatureMatrix(data)
+
+
+def wide_equal(rng, n):
+    return FeatureMatrix(np.tile(rng.standard_normal(64), (n, 1)))
+
+
+def wide_near_duplicated(rng, n):
+    # groups of 8 rows a 1e-9 step apart: each row's 7 nearest are its
+    # group, closer together than the screen can tell apart, but apart
+    # in float64, so every row falls back without settling a tie
+    base = np.repeat(rng.standard_normal((-(-n // 8), 64)), 8, axis=0)[:n]
+    return FeatureMatrix(base + 1e-9 * rng.standard_normal((n, 64)))
+
+
+def knn_and_fallback_rows(monkeypatch, feats, k, block=None):
+    """knn_neighbors(feats, k, block), and how many rows the float32
+    screen left to the float64 fallback (None for an unscreened search)."""
+    n = feats.n_samples
+    if not graph._screens(max(np.diff(graph._block_edges(n, block))), n, k):
+        return knn_neighbors(feats, k, block=block), None
+    rows = []
+    exact = graph._exact_topk
+
+    def record(unit, block_rows, ids, n, k, out):
+        rows.append(ids.size)
+        return exact(unit, block_rows, ids, n, k, out)
+
+    monkeypatch.setattr(graph, "_exact_topk", record)
+    got = knn_neighbors(feats, k, block=block)
+    monkeypatch.setattr(graph, "_exact_topk", exact)
+    return got, sum(rows)
+
+
+def assert_knn_equal(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+
+
+@pytest.mark.parametrize("n,block,other", [(40, 7, 512), (200, 7, 512), (514, None, 514)])
+def test_knn_bits_do_not_depend_on_the_block_split_at_width_64(n, block, other):
+    # at width 64 OpenBLAS rounds products of up to about 1,152 entries
+    # with a small-matrix kernel of its own: every 7 x 48 block at n = 40,
+    # the 4 x 208 tail of 7-row blocks at n = 200 and the 2 x 528 tail of
+    # the default blocks at n = 514.  The block rule forms none of them
+    feats = wide_random(np.random.default_rng(n), n)
+    assert_knn_equal(knn_neighbors(feats, 3, block=block), knn_neighbors(feats, 3, block=other))
+
+
+@pytest.mark.parametrize(
+    "make,n,block,fallback",
+    [
+        # 262-row default blocks: screened, every row resolved
+        (wide_random, 8000, None, "none"),
+        # 436-row default blocks and a 4-row tail: not screened
+        (wide_random, 4800, None, None),
+        # 4-row blocks: each re-score widened from 32 to 528 columns
+        (wide_random, 4800, 4, "none"),
+        (wide_duplicated, 8000, None, "some"),
+        (wide_duplicated, 4800, 4, "some"),
+        (wide_signed_zero, 8000, None, "some"),
+        (wide_signed_zero, 4800, 4, "some"),
+        # 64-row blocks, and every row ties: all of them fall back
+        (wide_equal, 2000, 64, "all"),
+    ],
+)
+def test_knn_width_64_equals_reference(monkeypatch, make, n, block, fallback):
+    feats = make(np.random.default_rng(n), n)
+    got, rows = knn_and_fallback_rows(monkeypatch, feats, 5, block)
+    assert_knn_equal(got, knn_neighbors_reference(feats, 5, block=512))
+    want = {None: None, "none": 0, "all": n}.get(fallback, rows)
+    assert rows == want
+    if fallback == "some":
+        assert 0 < rows < n
+
+
+def test_knn_screen_with_one_unresolved_row(monkeypatch):
+    # rows 1,000-1,006 are one point p, and row 1,500 lies at cosine 0.9
+    # from it, in 32 dimensions that no other row uses: its 5th and 7th
+    # screened values are equal, so it alone falls back, as a 1-row
+    # product padded to 2 rows.  Each copy of p is resolved, with its
+    # other six copies tied at 1.0
+    rng = np.random.default_rng(12)
+    data = rng.standard_normal((2000, 64))
+    data[:, 32:] = 0.0
+    p, q = np.linalg.qr(rng.standard_normal((32, 2)))[0].T
+    data[1000:1007] = np.concatenate([np.zeros(32), p])
+    data[1500] = np.concatenate([np.zeros(32), 0.9 * p + np.sqrt(1 - 0.81) * q])
+    feats = FeatureMatrix(data)
+    for block in (4, 64):
+        got, rows = knn_and_fallback_rows(monkeypatch, feats, 5, block)
+        assert rows == 1
+        assert got[0][1500].tolist() == [1000, 1001, 1002, 1003, 1004]
+        assert got[0][1000].tolist() == [1001, 1002, 1003, 1004, 1005]
+        assert_knn_equal(got, knn_neighbors_reference(feats, 5, block=512))
+
+
+@pytest.mark.parametrize("make", [wide_random, wide_near_duplicated])
+def test_screened_search_peak_memory_below_unscreened(monkeypatch, make):
+    # the float32 block takes half the bytes of the float64 one, and the
+    # fallback rows go through float64 chunks of half its height in the
+    # same buffer, so the screened search stays below the unscreened
+    # one, even when every row falls back
+    n = 8000
+    feats = make(np.random.default_rng(n), n)
+    _, rows = knn_and_fallback_rows(monkeypatch, feats, 5)
+    assert rows == (n if make is wide_near_duplicated else 0)
+    screened = knn_peak_bytes(feats, 5)
+    monkeypatch.setattr(graph, "_screens", lambda rows, n, k: False)
+    assert screened < knn_peak_bytes(feats, 5)
 
 
 # writes each n's neighbours and similarities to the .npz file argv[1]
@@ -515,7 +652,7 @@ import numpy as np
 from graphmend.core import FeatureMatrix
 from graphmend.graph import knn_neighbors
 out = {}
-for n in (2003, 6003):
+for n in (2003, 6003, 8000):
     X = np.random.default_rng(n).standard_normal((n, 64)).astype(np.float32)
     out["idx%d" % n], out["sims%d" % n] = knn_neighbors(FeatureMatrix(X), 5)
 np.savez(sys.argv[1], **out)
@@ -524,8 +661,9 @@ np.savez(sys.argv[1], **out)
 
 def test_knn_bits_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS reads its thread count at load time, so each count gets a
-    # process of its own.  Neither n is a multiple of 8; 2,003 runs
-    # 512-row default blocks, 6,003 byte-capped 349-row ones
+    # process of its own.  2,003 runs 512-row default blocks and 6,003
+    # byte-capped 349-row ones, neither n a multiple of 8; 8,000 runs the
+    # float32 screen
     runs = []
     for threads in ("1", "2"):
         path = tmp_path / ("threads%s.npz" % threads)
@@ -537,7 +675,7 @@ def test_knn_bits_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs.append(np.load(path))
     one, two = runs
-    for n in (2003, 6003):
+    for n in (2003, 6003, 8000):
         assert np.array_equal(one["idx%d" % n], two["idx%d" % n])
         assert np.array_equal(
             one["sims%d" % n].view(np.int64), two["sims%d" % n].view(np.int64)

@@ -151,6 +151,26 @@ def test_run_no_resplit_mode():
     assert len(reports) == 2
 
 
+@pytest.mark.parametrize("resplit", [True, False])
+def test_run_embeds_the_noisy_branch_only_for_a_resplit(monkeypatch, resplit):
+    # each epoch embeds its M ensemble branches for the kNN graphs; the
+    # noisy branch is embedded only right before a re-split reads it, so
+    # not after the last epoch and not at all without re-splitting
+    feats, noisy, clean = noisy_blobs(seed=7, per_class=40)
+    calls = []
+    embed = pipeline._embed
+
+    def record_embed(model, features):
+        calls.append(model)
+        return embed(model, features)
+
+    monkeypatch.setattr(pipeline, "_embed", record_embed)
+    M, E = 3, 3
+    cfg = small_cfg(seed=7, M=M, outer_epochs=E, resplit_each_epoch=resplit)
+    run_correction(cfg, features=feats, labels=noisy, clean=clean)
+    assert len(calls) == M * E + (E - 1 if resplit else 0)
+
+
 def test_run_output_layout(tmp_path):
     feats, noisy, clean = noisy_blobs(seed=8, per_class=40)
     cfg = small_cfg(seed=8, dump_suggestions=True)
