@@ -10,25 +10,22 @@ of at most 2**17 entries (1 MiB of int64 indices; the chunk height
 follows from n), which also places the runner-up, the largest entry left
 out of the selection, so no selection scratch grows with a block's rows
 times n.  Only rows whose runner-up equals their k-th value need their
-tie settled: such a row gathers its entries >= the k-th value and sorts
-just those by descending value, then ascending column.
+tie settled: such a row sorts its fewer than k entries above the k-th
+value by descending value, then ascending column, and fills the rest
+with its first columns equal to the k-th value.
 
-Each GEMM runs on a column count padded to a multiple of 16: the unit
-rows are followed by zero rows up to that count, and the pad columns of
-every block are set to -inf like the diagonal, so they are never picked.
-A block holds max(2, min(512, 2**21 // n)) rows, at most 16 MiB of
-float64.  Two kinds of product round otherwise than the rest: a 1-row
-product, which is a matrix-vector product, and, at inner widths from 32
-on with OpenBLAS's SkylakeX kernels, a product of at most 1,152 entries,
-which goes to a small-matrix kernel.  So every product here has 2 rows
-or more and more than _SMALL_PRODUCT = 2,048 entries: a `block` too
-short for that grows, and a shorter tail joins the block before it.
-With no edge columns, the SkylakeX and Sandybridge kernels round every
-such product alike, so the similarities are the same bits for every
-block split and BLAS thread count.  The Haswell kernels, which OpenBLAS
-also picks for AMD Zen, round the rows past a product's last multiple
-of 4 otherwise at widths like 64, so there a block's height and the
-thread count can move the last bit.
+The unit rows are followed by zero rows up to a multiple of 16, and
+every float64 product runs on operands of one shape (_operand): whole
+16-row groups of those rows, a slice where one fits and a zero-padded
+copy otherwise, tall enough for more than _SMALL_PRODUCT = 2,048
+entries.  So no product is a matrix-vector product, goes to OpenBLAS's
+small-matrix kernel (at most 1,152 entries at inner widths from 32 on)
+or has rows past its last multiple of 4, which the Haswell kernels
+(also picked for AMD Zen) round otherwise: the similarities are the
+same bits for every block split and BLAS thread count.  Pad columns are
+set to -inf like the diagonal, and rows past a block's own are dropped.
+A default block holds min(512, 2**21 // n) rows, at most 16 MiB of
+float64, rounded down to whole 16-row groups, and at least 16.
 
 On wide blocks (n >= 64 k) a slab bound first shrinks each row to k g
 candidates.  The first g w columns are cut into g contiguous slabs of
@@ -46,16 +43,15 @@ argpartition kernel.
 
 Searches whose blocks hold at most n / (2 (k + m)) rows, m = 2
 (_SCREEN_EXTRA), so that a block's candidate columns stay at most half
-of n, screen each block in float32 first (local-8k: 262-row blocks at
+of n, screen each block in float32 first (local-8k: 256-row blocks at
 n = 8,000, k = 5; not 512-row blocks at n = 2,000 or 2,400):
 
 1. The block's similarities s^ in float32, from float32 copies of the
    unit rows, in a buffer of half the bytes of a float64 block, and
    any k + m largest of each row by them (ties need no settling).
 2. One float64 GEMM of the block's rows on the union of their candidate
-   columns, padded to 16 and to more than 2,048 entries like every
-   product above, so each entry is the bit pattern s that the block's
-   own product gives.
+   columns, both operands shaped like every product above, so each
+   entry is the bit pattern s that the block's own product gives.
 
 For unit rows x, y of width d, |s^ - s| <= eps = (d + 3) 2**-23.  With
 u = 2**-24, rounding both rows to float32 moves x.y by at most
@@ -74,11 +70,8 @@ A resolved row sorts its candidates by column, then stably by
 descending exact value, and keeps k: the whole row's rule.  Other rows
 are recomputed in float64 over the whole row, as unscreened blocks are,
 in chunks of at most half the block's rows written into the same
-buffer (padded with zero rows to 2 rows and past 2,048 entries), so the
-search never holds more than one float64 block, even when every row
-falls back.  Under the Haswell kernels such a row's place in its chunk
-differs from its place in the block, so its last bit can differ from
-an unscreened search's.
+buffer, so the search never holds more than one float64 block, even
+when every row falls back.
 
 Edge weights are clamp(cosine, 0, 1) ** gamma so fractional gamma stays
 real even when raw cosine goes negative.  Both graphs are
@@ -181,23 +174,27 @@ def _topk_rows(sims, k, settle_ties=True):
 def _repair_ties(sims, tied, idx, vals):
     """Redo rows `tied` of (idx, vals) in place, whose k-th value
     vals[:, -1] is right but whose pick may not hold the lowest indices
-    tied with it.  Per row chunk, the entries >= the k-th value are
-    gathered in ascending column order, ordered by descending value and
-    then ascending column, and the first k kept: the order of one stable
-    sort of the whole row, at the cost of the entries that can be picked."""
+    tied with it.  Per row chunk, the entries above the k-th value, by
+    descending value then ascending column, and then the first columns
+    equal to it (0.0 and -0.0 alike): one stable sort of the whole row's
+    order, with no sort of the tied run."""
     k = idx.shape[1]
+    slot = np.arange(k)
     for rows in _row_chunks(tied.size, sims.shape[1]):
         t = tied[rows]
         block = sims[t]
-        r, c = np.nonzero(block >= vals[t, -1:])
-        v = block[r, c]
-        order = np.lexsort((c, -v, r))
-        # rows hold at least k such entries each; row i's run starts at starts[i]
-        counts = np.bincount(r, minlength=t.size)
-        starts = np.cumsum(counts) - counts
-        pick = order[starts[:, None] + np.arange(k)]
-        idx[t] = c[pick]
-        vals[t] = v[pick]
+        kth = vals[t, -1:]
+        r, c = np.nonzero(block > kth)
+        c = c[np.lexsort((c, -block[r, c], r))]
+        q, e = np.nonzero(block == kth)
+        above = np.bincount(r, minlength=t.size)[:, None]
+        equal = np.bincount(q, minlength=t.size)[:, None]
+        # slot j holds entry j of the row's run in c, or else entry
+        # j - above of its run in e; both list their rows in order
+        first = np.where(slot < above, np.cumsum(above)[:, None] - above,
+                         c.size + np.cumsum(equal)[:, None] - equal - above)
+        idx[t] = np.concatenate([c, e])[first + slot]
+        vals[t] = np.take_along_axis(block, idx[t], axis=1)
 
 
 def _slab_count(n, k):
@@ -239,27 +236,33 @@ def _topk_slabs(sims, k, settle_ties=True):
     return idx, vals
 
 
-def _fewest_rows(cols):
-    """Fewest rows of a product over `cols` columns that OpenBLAS rounds
-    like any taller one: 2, since a 1-row product is a matrix-vector
-    product, and more than _SMALL_PRODUCT entries."""
-    return max(2, _SMALL_PRODUCT // cols + 1)
+def _padded(count, other):
+    """Rows of a product operand that holds `count` rows against `other`
+    rows: whole 16-row groups, and more than _SMALL_PRODUCT entries."""
+    return -(-max(count, _SMALL_PRODUCT // other + 1) // 16) * 16
+
+
+def _operand(unit, ids, other):
+    """Unit rows `ids` (ascending) as an operand of _padded(ids.size,
+    other) rows: a slice of `unit` when ids is a range that fits,
+    otherwise a copy padded with zero rows."""
+    rows = _padded(ids.size, other)
+    if ids.size and ids[-1] - ids[0] < ids.size and ids[0] + rows <= unit.shape[0]:
+        return unit[ids[0]:ids[0] + rows]
+    copy = np.zeros((rows, unit.shape[1]))
+    copy[:ids.size] = unit[ids]
+    return copy
 
 
 def _block_edges(n, block):
     """Row edges of the similarity blocks of an n-row search: block i
     runs from edges[i] to edges[i + 1].  `block` rows per block, by
-    default sized by bytes, but never fewer than _fewest_rows of the
-    padded column count; a shorter tail joins the block before it."""
+    default whole 16-row groups sized by bytes."""
     if block is None:
-        block = max(2, min(512, 2**21 // n))
+        block = max(16, min(512, 2**21 // n) // 16 * 16)
     elif block < 1:
         raise ValidationError("block must be >= 1")
-    fewest = _fewest_rows(-(-n // 16) * 16)
-    edges = list(range(0, n, max(block, fewest))) + [n]
-    if len(edges) > 2 and n - edges[-2] < fewest:
-        del edges[-2]
-    return edges
+    return list(range(0, n, block)) + [n]
 
 
 def _screens(rows, n, k):
@@ -269,11 +272,11 @@ def _screens(rows, n, k):
     return 2 * rows * (k + _SCREEN_EXTRA) <= n
 
 
-def _exact_topk(unit, rows, ids, n, k, out):
-    """_topk_slabs(k) of the float64 similarities of `rows` to every unit
-    row, computed into the leading rows of `out`.  The first ids.size
-    rows are the nodes `ids`, whose own column is masked like the pad
-    columns; any rows after them are zero padding and are not selected."""
+def _exact_topk(unit, ids, n, k, out):
+    """_topk_slabs(k) of the float64 similarities of the nodes `ids`
+    (ascending) to every unit row, computed into the leading rows of
+    `out`; each node's own column is masked like the pad columns."""
+    rows = _operand(unit, ids, unit.shape[0])
     s = np.matmul(rows, unit.T, out=out[:rows.shape[0]])[:ids.size]
     s[np.arange(ids.size), ids] = -np.inf
     s[:, n:] = -np.inf
@@ -303,12 +306,8 @@ def _screened_topk(unit, unit32, start, stop, n, k, out):
     taken = np.zeros(n, dtype=bool)
     taken[cand] = True
     union = np.flatnonzero(taken)
-    # all b rows, and columns padded to 16 and past _SMALL_PRODUCT
-    # entries, so the product rounds like the block's own
-    width = -(-max(union.size, _SMALL_PRODUCT // b + 1) // 16) * 16
-    picked = np.zeros((width, d))
-    picked[:union.size] = unit[union]
-    exact = np.matmul(unit[start:stop], picked.T)
+    picked = _operand(unit, union, b)
+    exact = np.matmul(_operand(unit, np.arange(start, stop), picked.shape[0]), picked.T)
     # column j sits at place cumsum(taken)[j] - 1 of the product
     v = exact[rows[:, None], np.cumsum(taken)[cand] - 1]
     del exact
@@ -316,13 +315,10 @@ def _screened_topk(unit, unit32, start, stop, n, k, out):
     order = np.argsort(-v, axis=1, kind="stable")[:, :k]
     idx[rows] = np.take_along_axis(cand, order, axis=1)
     vals[rows] = np.take_along_axis(v, order, axis=1)
-    fewest = _fewest_rows(cols)
     unsure = np.flatnonzero(~sure)
     for r in range(0, unsure.size, out.shape[0]):
         chunk = unsure[r:r + out.shape[0]]
-        padded = np.zeros((max(chunk.size, fewest), d))
-        padded[:chunk.size] = unit[start + chunk]
-        idx[chunk], vals[chunk] = _exact_topk(unit, padded, start + chunk, n, k, out)
+        idx[chunk], vals[chunk] = _exact_topk(unit, start + chunk, n, k, out)
     return idx, vals
 
 
@@ -331,8 +327,7 @@ def knn_neighbors(features, k_graph, block=None):
 
     Returns (neighbors, sims), each (n, k_graph), neighbour columns
     sorted by descending similarity then ascending index.  `block` sets
-    the rows per similarity block, raised where a product would be too
-    small (see _block_edges); by default blocks are sized by bytes.
+    the rows per similarity block; by default blocks are sized by bytes.
     """
     n = features.n_samples
     if n < 2:
@@ -349,16 +344,15 @@ def knn_neighbors(features, k_graph, block=None):
     if screen:
         unit32 = unit.astype(np.float32)
         # one float32 block, or a float64 chunk of half as many rows
-        out = np.empty((max(-(-high // 2), _fewest_rows(cols)), cols))
+        out = np.empty((_padded(-(-high // 2), cols), cols))
     else:
-        out = np.empty((high, cols))
+        out = np.empty((_padded(high, cols), cols))
     for start, stop in zip(edges[:-1], edges[1:]):
         if screen:
             idx, vals = _screened_topk(unit, unit32, start, stop, n, k_graph, out)
         else:
             # a leading row slice of out is C-contiguous: still one GEMM call
-            ids = np.arange(start, stop)
-            idx, vals = _exact_topk(unit, unit[start:stop], ids, n, k_graph, out)
+            idx, vals = _exact_topk(unit, np.arange(start, stop), n, k_graph, out)
         neighbors[start:stop] = idx
         sims[start:stop] = vals
     return neighbors, sims

@@ -308,14 +308,17 @@ def topk_slabs_count_reference(sims, k):
 def knn_neighbors_reference(features, k_graph, block=512):
     """knn_neighbors as it was before it reused one similarity buffer:
     a fresh product per block and the counting tie tests, on the same
-    padded unit rows."""
+    padded unit rows.  Each block's rows are followed by zero rows up to
+    a multiple of 16, so no row is past its product's last multiple of 4."""
     n = features.n_samples
     unit = graph._normalized_features(features)
     neighbors = np.empty((n, k_graph), dtype=np.int64)
     sims = np.empty((n, k_graph))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        s = unit[start:stop] @ unit.T
+        rows = np.zeros((-(-(stop - start) // 16) * 16, unit.shape[1]))
+        rows[:stop - start] = unit[start:stop]
+        s = (rows @ unit.T)[:stop - start]
         s[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         s[:, n:] = -np.inf
         idx, vals = topk_slabs_count_reference(s, k_graph)
@@ -404,27 +407,41 @@ def test_knn_direct_path_peak_memory_below_one_and_a_half_blocks():
 
 
 def test_knn_block_rule():
-    # n <= 4,096 keeps 512-row blocks and tails of 2 rows or more
+    # n <= 4,096 keeps 512-row blocks, and any tail
     assert graph._block_edges(1030, None) == [0, 512, 1024, 1030]
     assert graph._block_edges(4096, None) == list(range(0, 4097, 512))
-    # above, a block holds at most 2**21 entries (16 MiB of float64), but
-    # never fewer than 2 rows
-    assert graph._block_edges(6000, None)[:3] == [0, 349, 698]
-    assert graph._block_edges(20000, None)[1] == 104
-    assert graph._block_edges(200000, None)[:3] == [0, 10, 20]
-    # 4,800 = 11 * 436 + 4 keeps its 4-row tail: 4 x 4,800 entries
-    assert graph._block_edges(4800, None)[-3:] == [4360, 4796, 4800]
-    # a block holds at least 2 rows and more than 2,048 entries over the
-    # padded columns; a shorter tail joins the block before it: 1 row at
-    # n = 513, 2 x 528 entries at n = 514
-    assert graph._block_edges(513, None) == [0, 513]
-    assert graph._block_edges(514, None) == [0, 514]
-    assert graph._block_edges(1025, None) == [0, 512, 1025]
-    # explicit blocks too small for that grow: 10 x 208 columns at
-    # n = 200, and at n = 10 or 50 one block holds every row
-    assert graph._block_edges(200, 7) == list(range(0, 201, 10))
-    assert graph._block_edges(10, 7) == [0, 10]
-    assert graph._block_edges(50, 7) == [0, 50]
+    assert graph._block_edges(513, None) == [0, 512, 513]
+    # above, a block holds at most 2**21 entries (16 MiB of float64) in
+    # whole 16-row groups, but never fewer than 16 rows
+    assert graph._block_edges(6000, None)[:3] == [0, 336, 672]
+    assert graph._block_edges(8000, None)[:3] == [0, 256, 512]
+    assert graph._block_edges(20000, None)[1] == 96
+    assert graph._block_edges(200000, None)[:3] == [0, 16, 32]
+    assert graph._block_edges(4800, None)[-3:] == [4320, 4752, 4800]
+    # explicit blocks are taken as given
+    assert graph._block_edges(200, 7) == list(range(0, 200, 7)) + [200]
+    assert graph._block_edges(10, 7) == [0, 7, 10]
+
+
+def test_knn_operand_rule():
+    # every float64 product pads its rows to whole 16-row groups and past
+    # 2,048 entries: 16 x 528 for a 1-row tail at n = 513, 144 x 16 for
+    # the one product at n = 10
+    assert graph._padded(1, 528) == 16
+    assert graph._padded(10, 16) == 144
+    assert graph._padded(256, 8000) == 256
+    assert graph._padded(262, 8000) == 272
+    assert graph._padded(0, 4) == 528
+    unit = graph._normalized_features(FeatureMatrix(np.ones((40, 3))))
+    # a range that fits is a slice of the unit rows, rows past it included
+    a = graph._operand(unit, np.arange(0, 2), 48)
+    assert a.shape == (48, 3) and np.shares_memory(a, unit)
+    assert np.array_equal(a, unit)
+    # any other ids are copied and padded with zero rows
+    for ids in (np.arange(1, 3), np.array([0, 2]), np.arange(0)):
+        b = graph._operand(unit, ids, 48)
+        assert b.shape == (48, 3) and not np.shares_memory(b, unit)
+        assert np.array_equal(b[:ids.size], unit[ids]) and not b[ids.size:].any()
 
 
 @pytest.mark.parametrize("block", [0, -3])
@@ -446,11 +463,11 @@ def test_knn_block_must_be_positive(block):
     ],
 )
 def test_knn_default_blocks_equal_512_row_reference(make, n, k):
-    # above n = 4,096 the default blocks are shorter than 512 rows: 436
-    # rows at n = 4,800, with a 4-row tail, and 351 rows at n = 5,968,
-    # whose 1-row tail joins the block before it.  Selection is per row,
-    # and on columns padded to a multiple of 16 OpenBLAS rounds GEMMs of
-    # 2 rows or more alike, so every bit matches.  k = 5 runs the slab
+    # above n = 4,096 the default blocks are shorter than 512 rows: 432
+    # rows at n = 4,800, with a 48-row tail, and 336 rows at n = 5,968,
+    # with a 256-row tail.  Selection is per row, and OpenBLAS rounds
+    # products of whole 16-row groups on columns padded to a multiple of
+    # 16 alike, so every bit matches.  k = 5 runs the slab
     # path, k = 100 (n < 64 k) the direct kernel
     feats = make(np.random.default_rng(n), n)
     assert feats.n_samples == n
@@ -509,8 +526,10 @@ def test_knn_ties_prefer_lower_index():
 def test_knn_blocking_invariant():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((50, 4)).astype(np.float32)
-    # 50 rows pad to 64 columns, where a block needs 33 rows to exceed
-    # 2,048 entries: 7-row blocks become one 50-row block, as 512 does
+    # 50 rows pad to 64 columns, where an operand needs 33 rows to
+    # exceed 2,048 entries: each 7-row block is a 48-row operand, a slice
+    # of the unit rows where one fits and a zero-padded copy after that,
+    # and 512 makes one 64-row product
     a = knn_neighbors(FeatureMatrix(X), 5, block=7)
     b = knn_neighbors(FeatureMatrix(X), 5, block=512)
     assert np.array_equal(a[0], b[0])
@@ -557,9 +576,9 @@ def knn_and_fallback_rows(monkeypatch, feats, k, block=None):
     rows = []
     exact = graph._exact_topk
 
-    def record(unit, block_rows, ids, n, k, out):
+    def record(unit, ids, n, k, out):
         rows.append(ids.size)
-        return exact(unit, block_rows, ids, n, k, out)
+        return exact(unit, ids, n, k, out)
 
     monkeypatch.setattr(graph, "_exact_topk", record)
     got = knn_neighbors(feats, k, block=block)
@@ -572,24 +591,53 @@ def assert_knn_equal(got, want):
     assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
 
 
-@pytest.mark.parametrize("n,block,other", [(40, 7, 512), (200, 7, 512), (514, None, 514)])
-def test_knn_bits_do_not_depend_on_the_block_split_at_width_64(n, block, other):
-    # at width 64 OpenBLAS rounds products of up to about 1,152 entries
-    # with a small-matrix kernel of its own: every 7 x 48 block at n = 40,
-    # the 4 x 208 tail of 7-row blocks at n = 200 and the 2 x 528 tail of
-    # the default blocks at n = 514.  The block rule forms none of them
-    feats = wide_random(np.random.default_rng(n), n)
-    assert_knn_equal(knn_neighbors(feats, 3, block=block), knn_neighbors(feats, 3, block=other))
+def one_unresolved_row(rng, n):
+    # rows 1,000-1,006 are one point p, and row 1,500 lies at cosine 0.9
+    # from it, in 32 dimensions that no other row uses
+    data = rng.standard_normal((n, 64))
+    data[:, 32:] = 0.0
+    p, q = np.linalg.qr(rng.standard_normal((32, 2)))[0].T
+    data[1000:1007] = np.concatenate([np.zeros(32), p])
+    data[1500] = np.concatenate([np.zeros(32), 0.9 * p + np.sqrt(1 - 0.81) * q])
+    return FeatureMatrix(data)
+
+
+@pytest.mark.parametrize(
+    "make,n,k,block,other",
+    [
+        # at width 64 OpenBLAS rounds products of up to about 1,152
+        # entries with a small-matrix kernel of its own: a 7 x 48 block at
+        # n = 40, the 4 x 208 tail of 7-row blocks at n = 200 and the
+        # 2 x 528 tail of the default blocks at n = 514 would be such
+        (wide_random, 40, 3, 7, 512),
+        (wide_random, 200, 3, 7, 512),
+        (wide_random, 514, 3, None, 514),
+        # OpenBLAS's Haswell kernels (also AMD Zen's) round the rows past a
+        # product's last multiple of 4 otherwise: screened blocks of 261
+        # and 262 rows at n = 6,000, the default blocks at n = 8,000, a
+        # 1-row tail at n = 513 and a 1-row fallback chunk would be such
+        (wide_random, 6000, 3, 261, 512),
+        (wide_random, 6000, 3, 262, 512),
+        (wide_random, 8000, 3, None, 512),
+        (wide_random, 513, 3, 512, 1024),
+        (one_unresolved_row, 2000, 5, 4, 512),
+    ],
+)
+def test_knn_bits_do_not_depend_on_the_block_split_at_width_64(make, n, k, block, other):
+    # every product runs on whole 16-row groups past 2,048 entries
+    feats = make(np.random.default_rng(n), n)
+    assert_knn_equal(knn_neighbors(feats, k, block=block), knn_neighbors(feats, k, block=other))
 
 
 @pytest.mark.parametrize(
     "make,n,block,fallback",
     [
-        # 262-row default blocks: screened, every row resolved
+        # 256-row default blocks: screened, every row resolved
         (wide_random, 8000, None, "none"),
-        # 436-row default blocks and a 4-row tail: not screened
+        # 432-row default blocks and a 48-row tail: not screened
         (wide_random, 4800, None, None),
-        # 4-row blocks: each re-score widened from 32 to 528 columns
+        # 4-row blocks: each re-score is 16 x 528, its 4 rows and at most
+        # 28 candidate columns padded with zero rows
         (wide_random, 4800, 4, "none"),
         (wide_duplicated, 8000, None, "some"),
         (wide_duplicated, 4800, 4, "some"),
@@ -610,18 +658,10 @@ def test_knn_width_64_equals_reference(monkeypatch, make, n, block, fallback):
 
 
 def test_knn_screen_with_one_unresolved_row(monkeypatch):
-    # rows 1,000-1,006 are one point p, and row 1,500 lies at cosine 0.9
-    # from it, in 32 dimensions that no other row uses: its 5th and 7th
-    # screened values are equal, so it alone falls back, as a 1-row
-    # product padded to 2 rows.  Each copy of p is resolved, with its
-    # other six copies tied at 1.0
-    rng = np.random.default_rng(12)
-    data = rng.standard_normal((2000, 64))
-    data[:, 32:] = 0.0
-    p, q = np.linalg.qr(rng.standard_normal((32, 2)))[0].T
-    data[1000:1007] = np.concatenate([np.zeros(32), p])
-    data[1500] = np.concatenate([np.zeros(32), 0.9 * p + np.sqrt(1 - 0.81) * q])
-    feats = FeatureMatrix(data)
+    # row 1,500's 5th and 7th screened values are equal, so it alone
+    # falls back, as a 1-row product padded to 16 rows.  Each copy of p
+    # is resolved, with its other six copies tied at 1.0
+    feats = one_unresolved_row(np.random.default_rng(12), 2000)
     for block in (4, 64):
         got, rows = knn_and_fallback_rows(monkeypatch, feats, 5, block)
         assert rows == 1
@@ -662,7 +702,7 @@ np.savez(sys.argv[1], **out)
 def test_knn_bits_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS reads its thread count at load time, so each count gets a
     # process of its own.  2,003 runs 512-row default blocks and 6,003
-    # byte-capped 349-row ones, neither n a multiple of 8; 8,000 runs the
+    # byte-capped 336-row ones, neither n a multiple of 8; 8,000 runs the
     # float32 screen
     runs = []
     for threads in ("1", "2"):
