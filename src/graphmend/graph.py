@@ -176,8 +176,8 @@ def _repair_ties(sims, tied, idx, vals):
     vals[:, -1] is right but whose pick may not hold the lowest indices
     tied with it.  Per row chunk, the entries above the k-th value, by
     descending value then ascending column, and then the first columns
-    equal to it (0.0 and -0.0 alike): one stable sort of the whole row's
-    order, with no sort of the tied run."""
+    equal to it (0.0 and -0.0 alike): the order of one stable sort of
+    the whole row, with no sort of the tied run."""
     k = idx.shape[1]
     slot = np.arange(k)
     for rows in _row_chunks(tied.size, sims.shape[1]):

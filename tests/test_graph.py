@@ -609,18 +609,18 @@ def one_unresolved_row(rng, n):
         # entries with a small-matrix kernel of its own: a 7 x 48 block at
         # n = 40, the 4 x 208 tail of 7-row blocks at n = 200 and the
         # 2 x 528 tail of the default blocks at n = 514 would be such
-        (wide_random, 40, 3, 7, 512),
-        (wide_random, 200, 3, 7, 512),
-        (wide_random, 514, 3, None, 514),
+        pytest.param(wide_random, 40, 3, 7, 512, id="40-7-512"),
+        pytest.param(wide_random, 200, 3, 7, 512, id="200-7-512"),
+        pytest.param(wide_random, 514, 3, None, 514, id="514-None-514"),
         # OpenBLAS's Haswell kernels (also AMD Zen's) round the rows past a
         # product's last multiple of 4 otherwise: screened blocks of 261
         # and 262 rows at n = 6,000, the default blocks at n = 8,000, a
         # 1-row tail at n = 513 and a 1-row fallback chunk would be such
-        (wide_random, 6000, 3, 261, 512),
-        (wide_random, 6000, 3, 262, 512),
-        (wide_random, 8000, 3, None, 512),
-        (wide_random, 513, 3, 512, 1024),
-        (one_unresolved_row, 2000, 5, 4, 512),
+        pytest.param(wide_random, 6000, 3, 261, 512, id="6000-261-512"),
+        pytest.param(wide_random, 6000, 3, 262, 512, id="6000-262-512"),
+        pytest.param(wide_random, 8000, 3, None, 512, id="8000-None-512"),
+        pytest.param(wide_random, 513, 3, 512, 1024, id="513-512-1024"),
+        pytest.param(one_unresolved_row, 2000, 5, 4, 512, id="one_unresolved_row-2000-4-512"),
     ],
 )
 def test_knn_bits_do_not_depend_on_the_block_split_at_width_64(make, n, k, block, other):
