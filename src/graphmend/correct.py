@@ -4,6 +4,12 @@ Ties on vote count fall to the class with the larger summed certainty
 weight among its supporters, then to the lower class index.  The
 averaged confidence always divides by 2*M*M, so disagreeing suggestions
 drag it down even when the winning class is confident.
+
+The per-class counts and weight sums run on chunks of samples, each
+chunk's suggestions copied to one C-ordered (rows, 2*M*M) array, so the
+vote never copies the whole (M, M, n, 2) tensor.  Each row still sums
+its own 2*M*M contiguous entries, with numpy's pairwise sum over that
+row alone, so the sums have the bits of one whole-array pass.
 """
 
 import numpy as np
@@ -11,25 +17,38 @@ import numpy as np
 from .core import LabelState, ValidationError
 from .propagate import NO_SUGGESTION
 
+# entries per vote chunk: 256 KiB per float64 temporary
+_CHUNK_ENTRIES = 2**15
+
+
+def _chunk_rows(width):
+    """Samples per vote chunk of `width` suggestions each."""
+    return max(1, _CHUNK_ENTRIES // width)
+
 
 def decide_all(suggestions):
     """Vectorized vote over every sample.
 
     Returns (winners, vote_counts, omega_hat, tie_broken); winners hold
     NO_SUGGESTION where every suggestion was a sentinel, with omega_hat
-    forced to 0 there.
+    forced to 0 there.  Counts and weight sums are taken over chunks of
+    at most _CHUNK_ENTRIES suggestions, one (rows, 2*M*M) copy per array
+    (see the module docstring).
     """
     M = suggestions.n_branches
     n = suggestions.n_samples
     C = suggestions.n_classes
-    lab = suggestions.labels.transpose(2, 0, 1, 3).reshape(n, -1)
-    wgt = suggestions.weights.transpose(2, 0, 1, 3).reshape(n, -1)
     counts = np.empty((n, C), dtype=np.int64)
     wsum = np.empty((n, C))
-    for c in range(C):
-        hit = lab == c
-        counts[:, c] = hit.sum(axis=1)
-        wsum[:, c] = np.where(hit, wgt, 0.0).sum(axis=1)
+    h = _chunk_rows(2 * M * M)
+    for start in range(0, n, h):
+        rows = slice(start, start + h)
+        lab = suggestions.labels[:, :, rows].transpose(2, 0, 1, 3).reshape(-1, 2 * M * M)
+        wgt = suggestions.weights[:, :, rows].transpose(2, 0, 1, 3).reshape(-1, 2 * M * M)
+        for c in range(C):
+            hit = lab == c
+            counts[rows, c] = hit.sum(axis=1)
+            wsum[rows, c] = np.where(hit, wgt, 0.0).sum(axis=1)
     top = counts.max(axis=1)
     tied = counts == top[:, None]
     tie_broken = tied.sum(axis=1) > 1

@@ -69,9 +69,12 @@ included, are candidates.
 A resolved row sorts its candidates by column, then stably by
 descending exact value, and keeps k: the whole row's rule.  Other rows
 are recomputed in float64 over the whole row, as unscreened blocks are,
-in chunks of at most half the block's rows written into the same
-buffer, so the search never holds more than one float64 block, even
-when every row falls back.
+in chunks of the same buffer's rows, so the search never holds more
+than one float64 block, even when every row falls back.  The buffer
+holds half a float64 block, or the largest re-score product if that is
+larger (its rows by at most n / 2 columns, so at most about as many
+entries; 256 x 1,792 entries against 128 x 8,000 at local-8k), and the
+product is written into it once the float32 block is dead.
 
 Edge weights are clamp(cosine, 0, 1) ** gamma so fractional gamma stays
 real even when raw cosine goes negative.  Both graphs are
@@ -152,8 +155,8 @@ def _topk_rows(sims, k, settle_ties=True):
     pick is the only valid set and sorting it finishes the row.  Rows
     whose runner-up equals the k-th value are tied across the cut and go
     to _repair_ties, which hands the tied slots to the lowest indices.
-    With settle_ties false they are left as picked: some k largest
-    entries, with the right values.
+    Rows where settle_ties (a bool, or one per row) is false are left as
+    picked: some k largest entries, with the right values.
     """
     b, n = sims.shape
     part = np.empty((b, k + 1), dtype=np.int64)
@@ -166,8 +169,7 @@ def _topk_rows(sims, k, settle_ties=True):
     order = np.argsort(-vals, axis=1, kind="stable")
     idx = np.take_along_axis(idx, order, axis=1)
     vals = np.take_along_axis(vals, order, axis=1)
-    if settle_ties:
-        _repair_ties(sims, np.flatnonzero(runner_up >= vals[:, -1]), idx, vals)
+    _repair_ties(sims, np.flatnonzero((runner_up >= vals[:, -1]) & settle_ties), idx, vals)
     return idx, vals
 
 
@@ -186,15 +188,38 @@ def _repair_ties(sims, tied, idx, vals):
         kth = vals[t, -1:]
         r, c = np.nonzero(block > kth)
         c = c[np.lexsort((c, -block[r, c], r))]
-        q, e = np.nonzero(block == kth)
         above = np.bincount(r, minlength=t.size)[:, None]
-        equal = np.bincount(q, minlength=t.size)[:, None]
+        equal = _first_equal(block, kth, k - above[:, 0], k)
         # slot j holds entry j of the row's run in c, or else entry
-        # j - above of its run in e; both list their rows in order
+        # j - above of its row in equal
         first = np.where(slot < above, np.cumsum(above)[:, None] - above,
-                         c.size + np.cumsum(equal)[:, None] - equal - above)
-        idx[t] = np.concatenate([c, e])[first + slot]
+                         c.size + k * np.arange(t.size)[:, None] - above)
+        idx[t] = np.concatenate([c, equal.ravel()])[first + slot]
         vals[t] = np.take_along_axis(block, idx[t], axis=1)
+
+
+def _first_equal(block, kth, need, k):
+    """A (rows, k) array whose row i starts with the first need[i]
+    columns of block's row i equal to kth[i] (0.0 and -0.0 alike), in
+    ascending order.  Rows are scanned over leading columns, 4 k of them
+    and then four times as many per pass until a row's need[i] are seen,
+    so no pass lists every tied column of a row that ties throughout."""
+    b, n = block.shape
+    equal = np.zeros((b, k), dtype=np.int64)
+    todo = np.arange(b)
+    width = 4 * k
+    while todo.size:
+        hit = block[todo, :width] == kth[todo]
+        found = np.count_nonzero(hit, axis=1)
+        done = (found >= need[todo]) | (width >= n)
+        r, c = np.nonzero(hit[done])
+        # place of each listed column within its row
+        rank = np.arange(r.size) - (np.cumsum(found[done]) - found[done])[r]
+        keep = rank < k
+        equal[todo[done][r[keep]], rank[keep]] = c[keep]
+        todo = todo[~done]
+        width *= 4
+    return equal
 
 
 def _slab_count(n, k):
@@ -218,6 +243,10 @@ def _topk_slabs(sims, k, settle_ties=True):
     part = np.argpartition(maxima, w - k - 1, axis=1)[:, w - k - 1:]
     runner_up = np.take_along_axis(maxima, part[:, :1], axis=1)[:, 0]
     bound = np.take_along_axis(maxima, part[:, 1:], axis=1).min(axis=1)
+    # an unpicked slab column whose maximum equals the bound may hold a
+    # lower-indexed entry tied with the k-th value: such rows settle
+    # their tie on the whole row, not first among their candidates
+    whole = (runner_up >= bound) & settle_ties
     pick = np.sort(part[:, 1:], axis=1)
     # candidate columns in ascending order: slab by slab, then the tail
     cols = (pick[:, None, :] + w * np.arange(g)[:, None]).reshape(b, g * k)
@@ -225,14 +254,11 @@ def _topk_slabs(sims, k, settle_ties=True):
     cols = np.concatenate([cols, tail], axis=1)
     # sims is C-contiguous, so one flat take gathers every row's candidates
     flat = cols + n * np.arange(b)[:, None]
-    local, vals = _topk_rows(np.take(sims, flat), k, settle_ties)
+    local, vals = _topk_rows(np.take(sims, flat), k, settle_ties & ~whole)
     idx = np.take_along_axis(cols, local, axis=1)
-    # an unpicked slab column whose maximum equals the bound may hold a
-    # lower-indexed entry tied with the k-th value.  The candidates' k-th
-    # value is still the row's: every unpicked slab column is <= the
-    # bound, and the bound is <= that value
-    if settle_ties:
-        _repair_ties(sims, np.flatnonzero(runner_up >= bound), idx, vals)
+    # the candidates' k-th value is still the row's: every unpicked slab
+    # column is <= the bound, and the bound is <= that value
+    _repair_ties(sims, np.flatnonzero(whole), idx, vals)
     return idx, vals
 
 
@@ -283,13 +309,28 @@ def _exact_topk(unit, ids, n, k, out):
     return _topk_slabs(s, k)
 
 
+def _leading(out, shape, dtype=np.float64):
+    """A C-contiguous `shape` array of `dtype` on the first bytes of the
+    C-contiguous buffer `out`."""
+    return out.view(dtype).ravel()[:math.prod(shape)].reshape(shape)
+
+
+def _rescore_entries(b, n, k):
+    """Entries of the largest re-score product of a b-row screened block:
+    _padded(b, u) rows by u = _padded(min(n, b (k + m)), b) candidate
+    columns.  The union's operand is padded against b, so u > 2,048 / b
+    and the row operand is b's own 16-row groups whatever the union."""
+    u = _padded(min(n, b * (k + _SCREEN_EXTRA)), b)
+    return _padded(b, u) * u
+
+
 def _screened_topk(unit, unit32, start, stop, n, k, out):
     """_exact_topk of block rows start..stop through the float32 screen
-    (see the module docstring).  `out` holds the float32 block, and then
-    each chunk of fallback rows in float64."""
+    (see the module docstring).  `out` holds the float32 block, then the
+    re-score product, then each chunk of fallback rows in float64."""
     b = stop - start
     cols, d = unit.shape
-    s = out.view(np.float32).ravel()[:b * cols].reshape(b, cols)
+    s = _leading(out, (b, cols), np.float32)
     np.matmul(unit32[start:stop], unit32.T, out=s)
     s[np.arange(b), np.arange(start, stop)] = -np.inf
     s[:, n:] = -np.inf
@@ -307,10 +348,12 @@ def _screened_topk(unit, unit32, start, stop, n, k, out):
     taken[cand] = True
     union = np.flatnonzero(taken)
     picked = _operand(unit, union, b)
-    exact = np.matmul(_operand(unit, np.arange(start, stop), picked.shape[0]), picked.T)
+    own = _operand(unit, np.arange(start, stop), picked.shape[0])
+    # the float32 block is dead: the product takes its place in out
+    exact = _leading(out, (own.shape[0], picked.shape[0]))
+    np.matmul(own, picked.T, out=exact)
     # column j sits at place cumsum(taken)[j] - 1 of the product
     v = exact[rows[:, None], np.cumsum(taken)[cand] - 1]
-    del exact
     # candidates in ascending column order, then stably by descending value
     order = np.argsort(-v, axis=1, kind="stable")[:, :k]
     idx[rows] = np.take_along_axis(cand, order, axis=1)
@@ -343,8 +386,11 @@ def knn_neighbors(features, k_graph, block=None):
     screen = _screens(high, n, k_graph)
     if screen:
         unit32 = unit.astype(np.float32)
-        # one float32 block, or a float64 chunk of half as many rows
-        out = np.empty((_padded(-(-high // 2), cols), cols))
+        # one float32 block, or a float64 chunk of half as many rows, or
+        # the largest re-score product of any of the (at most two)
+        # block heights: a 1-row tail's may outgrow a short block's
+        rescore = max(_rescore_entries(b, n, k_graph) for b in set(np.diff(edges)))
+        out = np.empty((_padded(max(-(-high // 2), -(-rescore // cols)), cols), cols))
     else:
         out = np.empty((_padded(high, cols), cols))
     for start, stop in zip(edges[:-1], edges[1:]):

@@ -1,8 +1,11 @@
 """Majority vote, tie breaks, confidence averaging and normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graphmend import correct
 from graphmend.core import LabelState, ValidationError
 from graphmend.correct import apply_correction, decide_all, normalize_confidence
 from graphmend.propagate import NO_SUGGESTION, SuggestionTensor
@@ -178,3 +181,89 @@ def test_apply_correction_count_mismatch():
         apply_correction(state, np.array([0]), np.array([0.1]))
     with pytest.raises(ValidationError):
         apply_correction(state, np.array([0, 1]), np.array([0.1]))
+
+
+def decide_all_reference(suggestions):
+    """decide_all as it was before it voted in sample chunks: one
+    (n, 2*M*M) copy of each whole suggestion array, kept as the bit-exact
+    reference for the chunked vote."""
+    M = suggestions.n_branches
+    n = suggestions.n_samples
+    C = suggestions.n_classes
+    lab = suggestions.labels.transpose(2, 0, 1, 3).reshape(n, -1)
+    wgt = suggestions.weights.transpose(2, 0, 1, 3).reshape(n, -1)
+    counts = np.empty((n, C), dtype=np.int64)
+    wsum = np.empty((n, C))
+    for c in range(C):
+        hit = lab == c
+        counts[:, c] = hit.sum(axis=1)
+        wsum[:, c] = np.where(hit, wgt, 0.0).sum(axis=1)
+    top = counts.max(axis=1)
+    tied = counts == top[:, None]
+    tie_broken = tied.sum(axis=1) > 1
+    left = np.where(tied, wsum, -1.0)
+    winners = np.argmax(left == left.max(axis=1)[:, None], axis=1).astype(np.int64)
+    omega_hat = wsum[np.arange(n), winners] / (2.0 * M * M)
+    silent = top == 0
+    winners[silent] = NO_SUGGESTION
+    omega_hat[silent] = 0.0
+    tie_broken[silent] = False
+    return winners, counts, omega_hat, tie_broken
+
+
+def vote_test_tensor(rng, M, n, C):
+    """Random suggestions with every kind of sample the vote must keep:
+    full-precision and quarter-step weights, 0.0 and -0.0 weights,
+    all-sentinel samples, and ties on count and on weight."""
+    shape = (M, M, n, 2)
+    labels = rng.integers(-1, C, size=shape)
+    weights = rng.uniform(0, 1, size=shape)
+    # a quarter of the samples carry quarter-step weights, so weight
+    # sums tie; some weights are 0.0 or -0.0
+    quarter = rng.random(n) < 0.25
+    weights[:, :, quarter] = rng.integers(0, 5, size=(M, M, quarter.sum(), 2)) / 4.0
+    zero = rng.random(shape) < 0.1
+    weights[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    # every fifth sample splits its suggestions evenly over two classes
+    # with equal weights: a tie on count and on weight
+    split = np.arange(0, n, 5)
+    half = np.arange(2 * M * M) % 2
+    flat = labels.transpose(2, 0, 1, 3).reshape(n, -1)
+    flat[split] = half * (C - 1)
+    labels = flat.reshape(n, M, M, 2).transpose(1, 2, 0, 3).copy()
+    weights[:, :, split] = 0.5
+    # every seventh sample is silent
+    labels[:, :, ::7] = NO_SUGGESTION
+    weights[labels == NO_SUGGESTION] = 0.0
+    return SuggestionTensor(labels, weights, C)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5])
+@pytest.mark.parametrize("C", [2, 4, 16])
+def test_chunked_vote_equals_whole_array_reference(M, C):
+    chunk = correct._chunk_rows(2 * M * M)
+    rng = np.random.default_rng(100 * M + C)
+    for n in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        t = vote_test_tensor(rng, M, n, C)
+        got = decide_all(t)
+        want = decide_all_reference(t)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2].view(np.uint64), want[2].view(np.uint64))
+        assert np.array_equal(got[3], want[3])
+        if n > 10:
+            assert (got[0] == NO_SUGGESTION).any() and got[3].any()
+
+
+def test_vote_peak_memory_stays_below_two_and_a_half_mib():
+    # (5, 8,000, 4) is local-8k's vote.  The whole-array vote peaked at
+    # 10.1 MiB above its input: two (n, 2*M*M) copies and a where-array
+    M, n, C = 5, 8000, 4
+    t = vote_test_tensor(np.random.default_rng(8), M, n, C)
+    tracemalloc.start()
+    try:
+        decide_all(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20

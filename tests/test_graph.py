@@ -1,5 +1,7 @@
 """Neighbour search, adjacency weights, symmetric normalization."""
 
+import collections
+import math
 import os
 import subprocess
 import sys
@@ -683,6 +685,85 @@ def test_screened_search_peak_memory_below_unscreened(monkeypatch, make):
     screened = knn_peak_bytes(feats, 5)
     monkeypatch.setattr(graph, "_screens", lambda rows, n, k: False)
     assert screened < knn_peak_bytes(feats, 5)
+
+
+def wide_clustered(rng, n):
+    # groups of 8 rows 0.1 apart, row i in group i mod (n / 8): each
+    # row's 7 nearest are its group, resolved by the screen, and the
+    # rows of a block of at most n / 8 rows lie in different groups, so
+    # their k + 2 = 7 candidates are distinct
+    groups = n // 8
+    centers = rng.standard_normal((groups, 64))
+    return FeatureMatrix(centers[np.arange(n) % groups] + 0.1 * rng.standard_normal((n, 64)))
+
+
+@pytest.mark.parametrize(
+    "make,n,block",
+    [
+        # at the screen's boundary, 2 b (k + 2) = n, a block's distinct
+        # candidates are n / 2 columns: the largest re-score product
+        (wide_clustered, 56, 4),
+        (wide_clustered, 896, 64),
+        (wide_clustered, 3584, 256),
+        (wide_random, 896, 64),
+        (wide_random, 3584, 256),
+        # 1-row blocks; and 4-row blocks with a 1-row tail, whose
+        # re-score product (16 x 2,064) outgrows a 4-row block's
+        (wide_random, 200, 1),
+        (wide_random, 57, 4),
+    ],
+)
+def test_rescore_product_fits_the_block_buffer(monkeypatch, make, n, block):
+    feats = make(np.random.default_rng(n), n)
+    k = 5
+    assert graph._screens(block, n, k)
+    products = []
+    leading = graph._leading
+
+    def record(out, shape, dtype=np.float64):
+        if dtype is np.float64:
+            products.append(math.prod(shape))
+        return leading(out, shape, dtype)
+
+    monkeypatch.setattr(graph, "_leading", record)
+    got, rows = knn_and_fallback_rows(monkeypatch, feats, k, block)
+    assert_knn_equal(got, knn_neighbors_reference(feats, k, block=512))
+    heights = set(np.diff(graph._block_edges(n, block)))
+    assert max(products) <= max(graph._rescore_entries(b, n, k) for b in heights)
+    if make is wide_clustered:
+        # reached by every block whose rows the screen all resolves
+        assert rows <= n // 100
+        assert max(products) == graph._rescore_entries(block, n, k)
+
+
+def test_screened_search_peak_memory_below_the_separate_product():
+    # local-8k's search shape.  With the re-score product in an array of
+    # its own (256 x 1,792 float64, 3.5 MiB) the search peaked at
+    # 18.49 MiB on these rows; in the block buffer it peaks at 16.58 MiB.
+    # Margin: 1 MiB below the old peak
+    feats = wide_random(np.random.default_rng(8000), 8000)
+    assert knn_peak_bytes(feats, 5) < 17.49 * 2**20
+
+
+@pytest.mark.parametrize("n,block", [(1000, None), (2000, 64)])
+def test_equal_rows_are_repaired_once(monkeypatch, n, block):
+    # every row ties throughout, so its runner-up slab maximum equals the
+    # bound: it is settled on the whole row only, not first among its
+    # candidates.  2,000 rows in 64-row blocks take the screen, and every
+    # row falls back to float64
+    feats = wide_equal(np.random.default_rng(n), n)
+    widths = collections.Counter()
+    repair = graph._repair_ties
+
+    def record(sims, tied, idx, vals):
+        widths[sims.shape[1]] += tied.size
+        return repair(sims, tied, idx, vals)
+
+    monkeypatch.setattr(graph, "_repair_ties", record)
+    got = knn_neighbors(feats, 5, block=block)
+    monkeypatch.setattr(graph, "_repair_ties", repair)
+    assert +widths == {-(-n // 16) * 16: n}
+    assert_knn_equal(got, knn_neighbors_reference(feats, 5, block=512))
 
 
 # writes each n's neighbours and similarities to the .npz file argv[1]
