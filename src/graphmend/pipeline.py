@@ -23,7 +23,9 @@ mask (os.cpu_count() where the OS has none) capped by its cgroup's CPU
 quota, so `taskset` restricts them and no option does; one usable CPU
 starts no helper.  Each pair writes only its own (m, j) slices of the
 suggestion arrays and sums nothing across pairs, so the labels are the
-same bits for every thread count.  The calling thread runs the step
+same bits for every thread count.  scipy's CSR product and numpy's
+elementwise kernels release the GIL and CG calls no BLAS; each thread
+keeps one CG block and its Z live.  The calling thread runs the step
 alone while a function it calls by public name (solve_propagation,
 suggest_labels and certainty_weights as bound here, and
 accel.make_csr_matvec) has been replaced by code from outside graphmend:
@@ -153,14 +155,10 @@ def _write_run_config(path, cfg):
 
 
 def _embed(model, features):
-    """The model's hidden-layer features as a FeatureMatrix.
-
-    Training that diverged far enough to overflow float32 here is a
-    TrainingError, not a malformed input.
-    """
+    """The model's hidden-layer features as a FeatureMatrix; non-finite
+    ones, from training that diverged, are a TrainingError."""
     hidden, _ = forward(model, features.data)
-    with np.errstate(over="ignore"):
-        hidden = hidden.astype(np.float32)
+    hidden = hidden.astype(np.float32)
     if not np.isfinite(hidden).all():
         raise TrainingError("training diverged: non-finite embedding")
     return FeatureMatrix(hidden)
@@ -331,6 +329,11 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
     _check_branch_count(M, n)
 
     state = LabelState(labels, labels.copy(), np.ones(n), C)
+    # every model is sized by C: reject an absent class id before making one
+    classes = np.unique(labels)
+    if classes.size < C:
+        missing = int(np.flatnonzero(classes != np.arange(classes.size))[0])
+        raise ValidationError("class %d has no samples" % missing)
     dim = features.dim
     H = cfg.train.hidden_width
     base = init_model(dim, H, C, _stream(cfg.seed, TAG_INIT))
@@ -345,40 +348,42 @@ def run_correction(cfg, features=None, labels=None, clean=None, output_dir=None)
     reports = []
     prev_corrected = state.corrected.copy()
     for epoch in range(1, cfg.outer_epochs + 1):
-        if assignment is None or cfg.resplit_each_epoch:
-            # a re-split reads the noisy branch's embedding, made only here
-            split_features = features
-            if assignment is not None:
-                split_features = _embed(models.noisy, features)
-            assignment = split_dataset(
-                split_features,
-                state.noisy,
-                cfg.split,
-                rng=np.random.SeedSequence(cfg.seed, spawn_key=(TAG_SPLIT, epoch)),
-                n_classes=C,
-            )
-        if epoch >= 2:
-            mix_rng = _stream(cfg.seed, TAG_MIX, epoch)
-            for m in range(M):
-                alpha_m = float(mix_rng.uniform())
-                theta = mix_parameters(
-                    models.corrected.theta, models.noisy.theta, alpha_m
+        # steps 1-4: a diverging run overflows in training and embedding, where
+        # every non-finite result raises TrainingError; warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if assignment is None or cfg.resplit_each_epoch:
+                # a re-split reads the noisy branch's embedding, made only here
+                split_features = features
+                if assignment is not None:
+                    split_features = _embed(models.noisy, features)
+                assignment = split_dataset(
+                    split_features,
+                    state.noisy,
+                    cfg.split,
+                    rng=np.random.SeedSequence(cfg.seed, spawn_key=(TAG_SPLIT, epoch)),
                 )
-                models.ensemble[m] = BranchModel(dim, H, C, theta)
-        train_epoch(
-            models,
-            assignment,
-            features,
-            state,
-            cfg.train,
-            _stream(cfg.seed, TAG_TRAIN, epoch),
-            epoch=epoch,
-        )
+            if epoch >= 2:
+                mix_rng = _stream(cfg.seed, TAG_MIX, epoch)
+                for m in range(M):
+                    alpha_m = float(mix_rng.uniform())
+                    theta = mix_parameters(
+                        models.corrected.theta, models.noisy.theta, alpha_m
+                    )
+                    models.ensemble[m] = BranchModel(dim, H, C, theta)
+            train_epoch(
+                models,
+                assignment,
+                features,
+                state,
+                cfg.train,
+                _stream(cfg.seed, TAG_TRAIN, epoch),
+                epoch=epoch,
+            )
 
-        graphs = [
-            build_adjacency(_embed(models.ensemble[m], features), cfg.graph)
-            for m in range(M)
-        ]
+            graphs = [
+                build_adjacency(_embed(models.ensemble[m], features), cfg.graph)
+                for m in range(M)
+            ]
         for m in range(M):
             graphs[m] = normalize_graph(graphs[m])
         planes = [build_partial_labels(assignment, j, state) for j in range(M)]

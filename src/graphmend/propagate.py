@@ -11,6 +11,11 @@ checks that W is normalized: another W gives its own system's solution
 where CG converges and SolverError where it does not, as for
 graph.build_adjacency's un-normalized output.
 
+Copying keeps the bits of solving every column because the solved block
+is the F-ordered fancy-index slice flat[:, cols] and never one column
+wide: CG sums in another order on other layouts and on one column, while
+it solves the columns of a wider block independently of each other.
+
 For an (n, C, 2) Y, Z comes back class-major: a view whose strides are
 (8, 16n, 8n), so each class plane is one contiguous run of n values.
 Scoring reduces over the class axis; on this layout numpy walks memory
@@ -52,9 +57,9 @@ class SuggestionTensor:
     def __init__(self, labels, weights, n_classes):
         self.labels = np.asarray(labels, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.float64)
-        if self.labels.shape != self.weights.shape or self.labels.ndim != 4:
-            raise ValidationError("suggestion arrays must share an (M, M, n, 2) shape")
-        if self.labels.shape[0] != self.labels.shape[1] or self.labels.shape[3] != 2:
+        shape = self.labels.shape
+        if (shape != self.weights.shape or len(shape) != 4
+                or shape[0] != shape[1] or shape[3] != 2):
             raise ValidationError("suggestion arrays must share an (M, M, n, 2) shape")
         if self.labels.size:
             if self.labels.max() >= n_classes or self.labels.min() < NO_SUGGESTION:
@@ -112,8 +117,6 @@ def solve_propagation(W, Y, cfg):
     solved = None
     if live.size:
         cols, slot = _distinct_columns(flat, live)
-        # b stays the fancy-index slice flat[:, cols] (F-ordered): CG's
-        # reductions sum in another order on other layouts
         solved = _cg(W, flat[:, cols], cfg)[:, slot]
     # column-major for (n, C, 2) blocks, so Z.reshape(Y.shape) stays a
     # view with contiguous class planes (see the module docstring)
@@ -127,9 +130,8 @@ def _distinct_columns(flat, live):
     """First column of each distinct byte pattern among `live`, and the
     position in that list of every live column's pattern.
 
-    Keeps all of `live` when they share one pattern: CG on a 1-column
-    block sums in another order than on wider blocks, whose columns are
-    solved independently of each other.
+    Keeps all of `live` when they share one pattern, so the solved block
+    is never one column wide (see the module docstring).
     """
     slots = {}
     slot = [slots.setdefault(flat[:, c].tobytes(), len(slots)) for c in live]

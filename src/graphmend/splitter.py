@@ -93,19 +93,11 @@ def package_class(features, class_members, M, B, rng):
     return packages
 
 
-def split_dataset(features, labels, cfg, rng=None, n_classes=None):
-    """Partition the dataset into M disjoint branch subsets.
-
-    When n_classes is given, every class id below it must be populated.
-    """
+def split_dataset(features, labels, cfg, rng=None):
+    """Partition the dataset into M disjoint branch subsets."""
     labels = np.asarray(labels, dtype=np.int64)
     if features.n_samples != labels.shape[0]:
         raise ValidationError("features and labels disagree on sample count")
-    if n_classes is not None:
-        present = np.bincount(labels, minlength=n_classes)
-        if (present == 0).any():
-            missing = int(np.flatnonzero(present == 0)[0])
-            raise ValidationError("class %d has no samples" % missing)
     if rng is None:
         rng = np.random.SeedSequence(cfg.rng_seed)
     elif not isinstance(rng, np.random.SeedSequence):

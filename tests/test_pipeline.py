@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+import graphmend
 from graphmend import pipeline, propagate
 from graphmend.core import (
     FeatureMatrix,
@@ -696,6 +699,21 @@ def test_run_rejects_bad_inputs_before_any_model(monkeypatch, labels, clean, M, 
         run_correction(cfg, features=feats, labels=labels, clean=clean)
 
 
+def test_absent_class_is_rejected_before_any_model_or_file(monkeypatch, tmp_path, capsys):
+    # class ids {0, 49999} would size every model for 50,000 classes
+    monkeypatch.setattr(pipeline, "init_model", fail_on_call)
+    feats, labels, out = tmp_path / "f.bin", tmp_path / "l.csv", tmp_path / "out"
+    rows = np.random.default_rng(0).standard_normal((120, 3)).astype(np.float32)
+    save_features(str(feats), FeatureMatrix(rows))
+    save_labels(str(labels), np.repeat([0, 49999], 60))
+    code = pipeline.main(
+        ["correct", "--features", str(feats), "--labels", str(labels), "--out", str(out)]
+    )
+    assert code == 11
+    assert capsys.readouterr().err == "error: class 1 has no samples\n"
+    assert not out.exists()
+
+
 def test_run_rejects_missing_inputs():
     with pytest.raises(ValidationError):
         run_correction(small_cfg())
@@ -895,6 +913,37 @@ def test_readme_config_table_matches_code():
         want = getattr(cfg if section is None else getattr(cfg, section), key)
         got = PARSERS[kind](default)
         assert got == want and type(got) is type(want), key
+
+
+def test_readme_names_and_paths_exist():
+    # every backticked graphmend name resolves, and every backticked
+    # repository path exists; the benchmark's metric names are not names
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        metrics = {metric["name"] for metric in json.load(fh)["per_layer"]}
+    fence = re.compile(r"^```.*?^```", flags=re.M | re.S)
+    spans = re.findall(r"`([^`\n]+)`", fence.sub("", text)) + fence.findall(text)
+    modules = {info.name for info in pkgutil.iter_modules(graphmend.__path__)}
+    names = [
+        span.split(".") for span in spans
+        if re.fullmatch(r"\w+(\.\w+)+", span) and span.split(".")[0] in modules
+        and span not in metrics
+    ]
+    for module, *attrs in names:
+        if attrs == ["py"]:
+            assert os.path.exists(os.path.join(root, "src", "graphmend", module + ".py"))
+            continue
+        obj = importlib.import_module("graphmend." + module)
+        for attr in attrs:
+            assert hasattr(obj, attr), ".".join([module, *attrs])
+            obj = getattr(obj, attr)
+    paths = re.findall(
+        r"(?<![\w/.-])(?:src|tests|\.github|perfbench)/[\w./-]*\w", "\n".join(spans)
+    )
+    missing = [path for path in paths if not os.path.exists(os.path.join(root, path))]
+    assert paths and not missing, missing
 
 
 # ------------------------------------------------------------- CLI
@@ -1268,6 +1317,24 @@ def test_cli_diverging_run_exit_code(cli_dataset, tmp_path):
         ]
     )
     assert proc.returncode == 13, proc.stderr
+
+
+def test_cli_diverging_run_prints_only_its_error_line(cli_dataset, tmp_path):
+    # the first step at 1e308 overflows the parameters; numpy stays silent
+    root, feats, labels, _ = cli_dataset
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(CLI_CONFIG + "learning_rate = 1e308\n")
+    proc = run_cli(
+        [
+            "correct",
+            "--features", str(feats),
+            "--labels", str(labels),
+            "--out", str(tmp_path / "out"),
+            "--config", str(cfg),
+        ]
+    )
+    assert proc.returncode == 13, proc.stderr
+    assert proc.stderr == "error: non-finite corrected-branch loss at step 1\n"
 
 
 def test_cli_model_too_large_exit_code(cli_dataset, tmp_path):

@@ -173,13 +173,6 @@ def test_split_branches_far_above_sample_count_allocates_nothing_large():
     assert sorted(assignment.package_of.tolist()) == list(range(40))
 
 
-def test_split_empty_class_error():
-    feats = FeatureMatrix(np.ones((4, 2), dtype=np.float32))
-    labels = np.array([0, 0, 2, 2], dtype=np.int64)
-    with pytest.raises(ValidationError, match="class 1"):
-        split_dataset(feats, labels, SplitConfig(2, 1, 0), n_classes=3)
-
-
 def test_package_empty_class_error():
     feats = FeatureMatrix(np.ones((2, 2), dtype=np.float32))
     with pytest.raises(ValidationError):
