@@ -24,8 +24,9 @@ or has rows past its last multiple of 4, which the Haswell kernels
 (also picked for AMD Zen) round otherwise: the similarities are the
 same bits for every block split and BLAS thread count.  Pad columns are
 set to -inf like the diagonal, and rows past a block's own are dropped.
-A default block holds min(512, 2**21 // n) rows, at most 16 MiB of
-float64, rounded down to whole 16-row groups, and at least 16.
+A default block holds min(256, 2**21 // n) rows, at most 16 MiB of
+float64, rounded down to whole 16-row groups, and at least 16: 256 rows
+up to n = 8,192.
 
 On wide blocks (n >= 64 k) a slab bound first shrinks each row to k g
 candidates.  The first g w columns are cut into g contiguous slabs of
@@ -43,8 +44,9 @@ argpartition kernel.
 
 Searches whose blocks hold at most n / (2 (k + m)) rows, m = 2
 (_SCREEN_EXTRA), so that a block's candidate columns stay at most half
-of n, screen each block in float32 first (local-8k: 256-row blocks at
-n = 8,000, k = 5; not 512-row blocks at n = 2,000 or 2,400):
+of n, screen each block in float32 first.  At k = 5 default blocks
+screen from n = 3,584 on (local-8k: 256-row blocks at n = 8,000); at
+n = 2,000, k = 50 and n = 2,400, k = 10 they do not:
 
 1. The block's similarities s^ in float32, from float32 copies of the
    unit rows, in a buffer of half the bytes of a float64 block, and
@@ -285,7 +287,7 @@ def _block_edges(n, block):
     runs from edges[i] to edges[i + 1].  `block` rows per block, by
     default whole 16-row groups sized by bytes."""
     if block is None:
-        block = max(16, min(512, 2**21 // n) // 16 * 16)
+        block = max(16, min(256, 2**21 // n) // 16 * 16)
     elif block < 1:
         raise ValidationError("block must be >= 1")
     return list(range(0, n, block)) + [n]

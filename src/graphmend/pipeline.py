@@ -95,6 +95,9 @@ TAG_SPLIT = 1
 TAG_MIX = 2
 TAG_TRAIN = 3
 
+# samples per chunk of one (m, j) block of the suggestion dump
+_DUMP_CHUNK = 512
+
 
 @dataclasses.dataclass
 class PipelineConfig:
@@ -184,7 +187,12 @@ def evaluate(noisy, corrected, clean):
 
 
 def save_suggestions(path, suggestions):
-    """Debug dump of every (graph, label set, sample, plane) suggestion."""
+    """Debug dump of every (graph, label set, sample, plane) suggestion.
+
+    Each (m, j) block is written in chunks of _DUMP_CHUNK samples: only
+    the "sample plane " prefixes span a whole block, and every other
+    per-line list and the chunk's text hold 2 * _DUMP_CHUNK lines.
+    """
     with open(path, "w") as fh:
         fh.write("MLCT v1\n")
         fh.write(
@@ -201,21 +209,25 @@ def save_suggestions(path, suggestions):
         )
         for m in range(M):
             for j in range(M):
-                # each weight bit pattern is formatted once, so 0.0 and
-                # -0.0 keep their own text
-                bits, at = np.unique(
-                    suggestions.weights[m, j].ravel().view(np.int64), return_inverse=True
-                )
-                weight_text = np.array(
-                    ["%r\n" % w for w in bits.view(np.float64).tolist()], dtype=object
-                )
-                columns = (
-                    itertools.repeat("%d %d " % (m, j)),
-                    rows,
-                    label_text[suggestions.labels[m, j].ravel() + 1].tolist(),
-                    weight_text[at].tolist(),
-                )
-                fh.write("".join(map("".join, zip(*columns))))
+                block = "%d %d " % (m, j)
+                for start in range(0, n, _DUMP_CHUNK):
+                    stop = start + _DUMP_CHUNK
+                    # each weight bit pattern is formatted once per chunk,
+                    # so 0.0 and -0.0 keep their own text
+                    bits, at = np.unique(
+                        suggestions.weights[m, j, start:stop].ravel().view(np.int64),
+                        return_inverse=True,
+                    )
+                    weight_text = np.array(
+                        ["%r\n" % w for w in bits.view(np.float64).tolist()], dtype=object
+                    )
+                    columns = (
+                        itertools.repeat(block),
+                        rows[2 * start:2 * stop],
+                        label_text[suggestions.labels[m, j, start:stop].ravel() + 1].tolist(),
+                        weight_text[at].tolist(),
+                    )
+                    fh.write("".join(map("".join, zip(*columns))))
 
 
 def _check_branch_count(n_branches, n_samples):

@@ -154,15 +154,27 @@ def _cg(W, b, cfg):
         active = rs > goal
         if not active.any():
             break
-        q = p - alpha * matvec(p)
+        # every update is in place, so a block keeps b, resid, x, p and
+        # one product buffer live: q = p - alpha * (W p), then step * q,
+        # then step * p, each in the buffer the product came in, which is
+        # dropped before the next product.  IEEE products and sums
+        # commute, so each entry gets the bits of the expression it
+        # replaces
+        q = matvec(p)
+        q *= alpha
+        np.subtract(p, q, out=q)
         pq = np.einsum("ij,ij->j", p, q)
         usable = active & (pq > 0)
         step = np.where(usable, rs / np.where(pq > 0, pq, 1.0), 0.0)
-        x += step * p
-        resid -= step * q
+        q *= step
+        resid -= q
+        np.multiply(step, p, out=q)
+        x += q
+        del q
         rs_new = np.einsum("ij,ij->j", resid, resid)
         beta = np.where(usable, rs_new / np.where(rs > 0, rs, 1.0), 0.0)
-        p = resid + beta * p
+        p *= beta
+        p += resid
         rs = rs_new
     if (rs > goal).any():
         worst = float(np.sqrt(rs.max()))

@@ -409,17 +409,17 @@ def test_knn_direct_path_peak_memory_below_one_and_a_half_blocks():
 
 
 def test_knn_block_rule():
-    # n <= 4,096 keeps 512-row blocks, and any tail
-    assert graph._block_edges(1030, None) == [0, 512, 1024, 1030]
-    assert graph._block_edges(4096, None) == list(range(0, 4097, 512))
-    assert graph._block_edges(513, None) == [0, 512, 513]
+    # n <= 8,192 keeps 256-row blocks, and any tail
+    assert graph._block_edges(1030, None) == [0, 256, 512, 768, 1024, 1030]
+    assert graph._block_edges(8192, None) == list(range(0, 8193, 256))
+    assert graph._block_edges(257, None) == [0, 256, 257]
+    assert graph._block_edges(6000, None)[:3] == [0, 256, 512]
+    assert graph._block_edges(4800, None)[-3:] == [4352, 4608, 4800]
     # above, a block holds at most 2**21 entries (16 MiB of float64) in
     # whole 16-row groups, but never fewer than 16 rows
-    assert graph._block_edges(6000, None)[:3] == [0, 336, 672]
-    assert graph._block_edges(8000, None)[:3] == [0, 256, 512]
+    assert graph._block_edges(8193, None)[:3] == [0, 240, 480]
     assert graph._block_edges(20000, None)[1] == 96
     assert graph._block_edges(200000, None)[:3] == [0, 16, 32]
-    assert graph._block_edges(4800, None)[-3:] == [4320, 4752, 4800]
     # explicit blocks are taken as given
     assert graph._block_edges(200, 7) == list(range(0, 200, 7)) + [200]
     assert graph._block_edges(10, 7) == [0, 7, 10]
@@ -465,12 +465,12 @@ def test_knn_block_must_be_positive(block):
     ],
 )
 def test_knn_default_blocks_equal_512_row_reference(make, n, k):
-    # above n = 4,096 the default blocks are shorter than 512 rows: 432
-    # rows at n = 4,800, with a 48-row tail, and 336 rows at n = 5,968,
-    # with a 256-row tail.  Selection is per row, and OpenBLAS rounds
-    # products of whole 16-row groups on columns padded to a multiple of
-    # 16 alike, so every bit matches.  k = 5 runs the slab
-    # path, k = 100 (n < 64 k) the direct kernel
+    # the default blocks are shorter than 512 rows: 256 rows, with a
+    # 192-row tail at n = 4,800 and an 80-row tail at n = 5,968.
+    # Selection is per row, and OpenBLAS rounds products of whole 16-row
+    # groups on columns padded to a multiple of 16 alike, so every bit
+    # matches.  k = 5 takes the float32 screen, k = 100 (n < 64 k) the
+    # direct kernel
     feats = make(np.random.default_rng(n), n)
     assert feats.n_samples == n
     got = knn_neighbors(feats, k)
@@ -483,10 +483,19 @@ def test_knn_default_blocks_equal_512_row_reference(make, n, k):
 def test_knn_default_block_peak_memory_does_not_grow_with_n(n):
     # the default block holds at most 2**21 float64 entries (16 MiB), so
     # the peak stays near one such block plus the unit rows at every n;
-    # one 512-row block alone is 23.4 MiB at n = 6,000
+    # one 512-row block alone would be 23.4 MiB at n = 6,000
     dim = 8
     feats = FeatureMatrix(np.random.default_rng(n).standard_normal((n, dim)))
     assert knn_peak_bytes(feats, 5) < 1.5 * 2**24 + n * dim * 8
+
+
+@pytest.mark.parametrize("n,k", [(2400, 10), (2000, 50)])
+def test_knn_default_block_peak_memory_below_ten_mib(n, k):
+    # the search shapes of cli-16c-dump and global-2k on 64-wide rows:
+    # 256-row default blocks peak at about 8.3 and 7.7 MiB, 512-row
+    # ones at 15.0 and 11.9 MiB
+    feats = wide_random(np.random.default_rng(n), n)
+    assert knn_peak_bytes(feats, k) < 10 * 2**20
 
 
 def brute_force_knn(X, k):
@@ -636,8 +645,9 @@ def test_knn_bits_do_not_depend_on_the_block_split_at_width_64(make, n, k, block
     [
         # 256-row default blocks: screened, every row resolved
         (wide_random, 8000, None, "none"),
-        # 432-row default blocks and a 48-row tail: not screened
-        (wide_random, 4800, None, None),
+        (wide_random, 4800, None, "none"),
+        # 256-row default blocks and a 184-row tail: not screened
+        (wide_random, 3000, None, None),
         # 4-row blocks: each re-score is 16 x 528, its 4 rows and at most
         # 28 candidate columns padded with zero rows
         (wide_random, 4800, 4, "none"),
@@ -782,9 +792,9 @@ np.savez(sys.argv[1], **out)
 
 def test_knn_bits_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS reads its thread count at load time, so each count gets a
-    # process of its own.  2,003 runs 512-row default blocks and 6,003
-    # byte-capped 336-row ones, neither n a multiple of 8; 8,000 runs the
-    # float32 screen
+    # process of its own.  Each n runs 256-row default blocks: 2,003 and
+    # 6,003, neither a multiple of 8, end in a shorter tail block, and
+    # 6,003 and 8,000 go through the float32 screen
     runs = []
     for threads in ("1", "2"):
         path = tmp_path / ("threads%s.npz" % threads)

@@ -48,7 +48,7 @@ from graphmend.propagate import NO_SUGGESTION, PropagationConfig, SuggestionTens
 from graphmend.branches import TrainConfig
 from graphmend.splitter import SplitConfig, split_dataset
 from graphmend.synth import NOISE_KINDS, SynthConfig, make_blobs, make_noisy_dataset
-from test_propagate import cg_reference
+from test_propagate import cg_reference, peak_bytes
 
 
 def small_cfg(seed=0, M=3, B=2, outer_epochs=2, **kwargs):
@@ -546,6 +546,14 @@ def hand_built_suggestions(M, n, C=4):
         pytest.param(1, 1, 4, id="1-1"),
         pytest.param(3, 7, 4, id="3-7"),
         pytest.param(2, 40, 16, id="2-40-16"),
+        # blocks that end one sample before, at and after a chunk's end,
+        # and one of several chunks and a short tail
+        pytest.param(2, pipeline._DUMP_CHUNK - 1, 4, id="2-chunk-1"),
+        pytest.param(2, pipeline._DUMP_CHUNK, 4, id="2-chunk"),
+        pytest.param(2, pipeline._DUMP_CHUNK + 1, 4, id="2-chunk+1"),
+        pytest.param(2, 3 * pipeline._DUMP_CHUNK + 7, 4, id="2-3chunk+7"),
+        # cli-16c-dump's M and C
+        pytest.param(5, pipeline._DUMP_CHUNK + 1, 16, id="5-chunk+1-16"),
     ],
 )
 def test_save_suggestions_equals_reference_writer(tmp_path, M, n, C):
@@ -559,6 +567,16 @@ def test_save_suggestions_equals_reference_writer(tmp_path, M, n, C):
     assert b" -1 " in got
     if n > 1:
         assert b" -0.0\n" in got and b" 0.0\n" in got
+
+
+def test_save_suggestions_peak_memory_below_three_quarters_of_a_mib(tmp_path):
+    # cli-16c-dump's (M, n, C) with every weight distinct.  Per chunk of
+    # samples the dump peaks at about 0.55 MiB; lists of a whole (m, j)
+    # block's lines and weight texts peaked at 1.36 MiB
+    rng = np.random.default_rng(5)
+    shape = (5, 5, 2400, 2)
+    sug = SuggestionTensor(rng.integers(NO_SUGGESTION, 16, shape), rng.uniform(size=shape), 16)
+    assert peak_bytes(save_suggestions, str(tmp_path / "new.txt"), sug) < 0.75 * 2**20
 
 
 def test_save_suggestions_without_samples(tmp_path):
